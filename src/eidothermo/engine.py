@@ -262,25 +262,25 @@ def _entropy_ceiling(oracle: ModelOracle, a: StateExpr, b: StateExpr) -> int:
     return bound
 
 
-def _forward_holds(oracle, a, b, bit, record, q, p) -> bool:
+def _forward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
     """q copies of <a,b> drive p bit processes."""
     if p >= 0:
-        parts_a = ((singleton(a), q), (bit, p))
-        parts_b = ((singleton(b), q), (singleton(record), p))
+        parts_a = ((sa, q), (bit, p))
+        parts_b = ((sb, q), (srecord, p))
     else:
-        parts_a = ((singleton(a), q), (singleton(record), -p))
-        parts_b = ((singleton(b), q), (bit, -p))
+        parts_a = ((sa, q), (srecord, -p))
+        parts_b = ((sb, q), (bit, -p))
     return oracle.arrow_combined(parts_a, parts_b)
 
 
-def _backward_holds(oracle, a, b, bit, record, q, p) -> bool:
+def _backward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
     """p bit processes drive q copies of <a,b> in reverse."""
     if p >= 0:
-        parts_a = ((singleton(b), q), (singleton(record), p))
-        parts_b = ((singleton(a), q), (bit, p))
+        parts_a = ((sb, q), (srecord, p))
+        parts_b = ((sa, q), (bit, p))
     else:
-        parts_a = ((singleton(b), q), (bit, -p))
-        parts_b = ((singleton(a), q), (singleton(record), -p))
+        parts_a = ((sb, q), (bit, -p))
+        parts_b = ((sa, q), (srecord, -p))
     return oracle.arrow_combined(parts_a, parts_b)
 
 
@@ -299,8 +299,10 @@ def irreversibility_estimate(
     sa, sb = singleton(a), singleton(b)
     if not oracle.possible(sa, sb):
         raise ImpossibleProcessError(f"process {a} -> {b} is impossible")
+    # One eidostate per operand for the whole search, so each one's
+    # cached prime factorization serves every arrow below.
     bit = oracle.make_bit_state()
-    record = oracle.make_record()
+    srecord = singleton(oracle.make_record())
     ceiling = _entropy_ceiling(oracle, a, b)
     best_lower: Optional[Fraction] = None
     best_upper: Optional[Fraction] = None
@@ -310,13 +312,13 @@ def irreversibility_estimate(
         # Largest p with the forward relation: true at -bound, false
         # beyond +bound.
         lo, hi = -bound, bound + 1
-        if not _forward_holds(oracle, a, b, bit, record, q, lo):
+        if not _forward_holds(oracle, sa, sb, bit, srecord, q, lo):
             raise ImpossibleProcessError(
                 f"forward relation failed at the search floor for q={q}"
             )
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _forward_holds(oracle, a, b, bit, record, q, mid):
+            if _forward_holds(oracle, sa, sb, bit, srecord, q, mid):
                 lo = mid
             else:
                 hi = mid
@@ -324,13 +326,13 @@ def irreversibility_estimate(
 
         # Smallest p with the backward relation.
         lo2, hi2 = -bound - 1, bound
-        if not _backward_holds(oracle, a, b, bit, record, q, hi2):
+        if not _backward_holds(oracle, sa, sb, bit, srecord, q, hi2):
             raise ImpossibleProcessError(
                 f"backward relation failed at the search ceiling for q={q}"
             )
         while hi2 - lo2 > 1:
             mid = (lo2 + hi2) // 2
-            if _backward_holds(oracle, a, b, bit, record, q, mid):
+            if _backward_holds(oracle, sa, sb, bit, srecord, q, mid):
                 hi2 = mid
             else:
                 lo2 = mid

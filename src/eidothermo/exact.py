@@ -9,6 +9,11 @@ complete because powers of two with distinct rational exponents are
 linearly independent over the rationals.  In particular a value is
 rational exactly when its canonical multiset is a singleton.
 
+Sums and integer multiples of rational values have closed forms,
+``{x} + {y} = {x + y}`` and ``n * {x} = {n * x}``, whose one-exponent
+results are canonical as built; values with several exponents take the
+general path (all pairwise exponent sums, and double-and-add).
+
 Comparisons of distinct canonical forms fall back to interval arithmetic
 at escalating precision (128 bits doubling up to a cap, default 4096,
 overridable via the ``EIDOTHERMO_MAX_BITS`` environment variable).  An
@@ -71,6 +76,13 @@ def _canonical(exponents: Iterable[Fraction]) -> tuple:
     return tuple(items)
 
 
+def _from_canonical(exponents: tuple) -> "ExactEntropy":
+    """An ExactEntropy over exponents already in canonical form."""
+    value = object.__new__(ExactEntropy)
+    object.__setattr__(value, "_exponents", exponents)
+    return value
+
+
 class ExactEntropy:
     """The value log2(2^x1 + ... + 2^xn) for rational exponents xi."""
 
@@ -126,8 +138,13 @@ class ExactEntropy:
         return self._exponents[0]
 
     def __add__(self, other) -> "ExactEntropy":
-        """Sum of values: log2 of the product, i.e. all pairwise exponent sums."""
+        """Sum of values: log2 of the product, i.e. all pairwise exponent sums.
+
+        Two rational values add in closed form: {x} + {y} = {x + y}.
+        """
         if isinstance(other, ExactEntropy):
+            if len(self._exponents) == 1 and len(other._exponents) == 1:
+                return _from_canonical((self._exponents[0] + other._exponents[0],))
             return ExactEntropy(
                 x + y for x in self._exponents for y in other._exponents
             )
@@ -139,11 +156,16 @@ class ExactEntropy:
     __radd__ = __add__
 
     def __mul__(self, n) -> "ExactEntropy":
-        """Integer multiple of the value, by double-and-add with remerging."""
+        """Integer multiple of the value, by double-and-add with remerging.
+
+        A rational value multiplies in closed form: n * {x} = {n * x}.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 1:
             raise ValueError("only positive integer multiples are defined")
+        if len(self._exponents) == 1:
+            return _from_canonical((self._exponents[0] * n,))
         result = None
         power = self
         while n:

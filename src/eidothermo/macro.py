@@ -176,7 +176,6 @@ class MacroModel(ModelOracle):
         self.registry = registry if registry is not None else MacroRegistry.standard()
         self._uniform_cache: Dict[Eidostate, bool] = {}
         self._prime_entropy_cache: Dict[Eidostate, ExactEntropy] = {}
-        self._fresh_counter = 0
 
     # -- decomposition ------------------------------------------------
 

@@ -12,7 +12,9 @@ One directive per line; `#` starts a comment; spacing within a line is
 free.  Macro atoms carry an integer content Q and a rational entropy
 S=p/q with 0 <= p/q <= 1; quantum atoms carry a subspace dimension and
 a qubit length with dim <= 2^len.  State expressions are built from
-atom names with parenthesized sums, `(a + b)`.  Eidostate members name
+atom names with parenthesized sums, `(a + b)`, nested at most
+`MAX_EXPR_NESTING` levels deep so that the recursive state algebra can
+handle every state a scenario defines.  Eidostate members name
 previously defined states or atoms.
 
 Every diagnostic carries the offending line number.  Serialization
@@ -45,6 +47,7 @@ from .quantum import (
 from .states import Atom, Eidostate, Pair, StateExpr, singleton
 
 __all__ = [
+    "MAX_EXPR_NESTING",
     "Scenario",
     "ScenarioError",
     "member_names",
@@ -68,6 +71,11 @@ _QUANTUM_RESERVED_RE = re.compile(r"^q(\d+)$")
 
 #: Tokens of a state expression: names, parentheses, plus signs.
 _EXPR_TOKEN_RE = re.compile(rf"\s*({_NAME}|[()+])")
+
+#: Deepest parenthesis nesting a state expression may have.  Hashing,
+#: ordering and evaluating a state recurse once per level, so much
+#: deeper expressions would exhaust the interpreter's recursion limit.
+MAX_EXPR_NESTING = 256
 
 
 class ScenarioError(ValueError):
@@ -170,19 +178,23 @@ class _ExprParser:
         return tok
 
     def parse(self) -> StateExpr:
-        expr = self.expr()
+        expr = self.expr(0)
         if self.peek() is not None:
             self._fail(f"trailing {self.peek()!r} after state expression")
         return expr
 
-    def expr(self) -> StateExpr:
+    def expr(self, nesting: int) -> StateExpr:
         tok = self.take()
         if tok == "(":
-            left = self.expr()
+            if nesting == MAX_EXPR_NESTING:
+                self._fail(
+                    f"state expression nests deeper than {MAX_EXPR_NESTING} levels"
+                )
+            left = self.expr(nesting + 1)
             plus = self.take()
             if plus != "+":
                 self._fail(f"expected '+' in state expression, found {plus!r}")
-            right = self.expr()
+            right = self.expr(nesting + 1)
             close = self.take()
             if close != ")":
                 self._fail(f"expected ')' in state expression, found {close!r}")

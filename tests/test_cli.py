@@ -10,6 +10,7 @@ import pytest
 
 from eidothermo import cli
 from eidothermo.harness import CheckResult, CounterexampleRecord, SuiteReport
+from eidothermo.scenario import MAX_EXPR_NESTING
 
 LADDER_SCENARIO = """\
 model macro
@@ -240,6 +241,36 @@ def test_parse_error_reports_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "entropy", "--scenario", str(path), "a")
     assert code == 2
     assert "line 2" in err
+
+
+def _nested_state(depth):
+    expr = "v"
+    for _ in range(depth):
+        expr = f"(v + {expr})"
+    return expr
+
+
+def test_deep_expression_rejected_with_line(capsys, szilard, tmp_path):
+    text = open(szilard).read()
+    path = tmp_path / "deep.txt"
+    path.write_text(text + f"state deep = {_nested_state(1200)}\n")
+    line = len(text.splitlines()) + 1
+    code, out, err = run_cli(capsys, "entropy", "--scenario", str(path), "Ib")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}: state expression nests deeper")
+
+
+def test_expression_at_nesting_limit_accepted(capsys, szilard, tmp_path):
+    text = open(szilard).read()
+    path = tmp_path / "deep.txt"
+    path.write_text(text + f"state deep = {_nested_state(MAX_EXPR_NESTING)}\n")
+    code, out, _ = run_cli(capsys, "classify", "--scenario", str(path), "vr", "deep")
+    assert code == 0
+    assert out == "impossible\n"
+    code, out, _ = run_cli(capsys, "irrev", "--scenario", str(path),
+                           "deep", "deep", "--qmax", "2")
+    assert code == 0
 
 
 def test_unknown_name(capsys, szilard):

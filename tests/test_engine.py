@@ -243,6 +243,36 @@ def test_irreversibility_impossible_pair(macro):
         irreversibility_estimate(R, S1, 4, macro)
 
 
+#: Brackets of the first 12 criterion-7 pairs (draw seed 42, q_max=64) as
+#: computed by the search that built fresh singleton eidostates per arrow.
+CRITERION_7_BRACKETS = [
+    (Fraction(5, 4), Fraction(5, 4)),
+    (Fraction(-1, 4), Fraction(-1, 4)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-5, 4), Fraction(-5, 4)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+def test_irreversibility_brackets_pinned(macro):
+    rng = random.Random(42)
+    brackets = []
+    for _ in CRITERION_7_BRACKETS:
+        q = rng.randint(1, 3)
+        a = macro.random_state_with_content(rng, q)
+        b = macro.random_state_with_content(rng, q)
+        est = irreversibility_estimate(a, b, 64, macro)
+        brackets.append((est.lower, est.upper))
+    assert brackets == CRITERION_7_BRACKETS
+
+
 def test_irreversibility_quantum(quantum):
     est = irreversibility_estimate(Atom("q2"), Atom("q5"), 16, quantum)
     gap = 2.321928094887362 - 1.0

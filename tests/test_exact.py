@@ -199,3 +199,59 @@ def test_immutability():
     e = ExactEntropy([0])
     with pytest.raises(AttributeError):
         e._exponents = ()
+
+
+# -- rational closed forms against the general path ---------------------
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+
+def _reference_add(x, y):
+    """The general sum: every pairwise exponent sum, canonicalized."""
+    return ExactEntropy(a + b for a in x.exponents for b in y.exponents)
+
+
+def _reference_mul(x, n):
+    """n * x by double-and-add over the general sum."""
+    result = None
+    power = x
+    while n:
+        if n & 1:
+            result = power if result is None else _reference_add(result, power)
+        n >>= 1
+        if n:
+            power = _reference_add(power, power)
+    return result
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert got.exponents == want.exponents
+    assert all(type(e) is Fraction for e in got.exponents)
+    assert hash(got) == hash(want)
+
+
+@given(wide_rationals, wide_rationals)
+def test_rational_sum_closed_form(x, y):
+    got = ExactEntropy([x]) + ExactEntropy([y])
+    _assert_same(got, ExactEntropy([x + y]))
+    _assert_same(got, _reference_add(ExactEntropy([x]), ExactEntropy([y])))
+
+
+@given(wide_rationals, st.integers(1, 200))
+def test_rational_multiple_closed_form(x, n):
+    value = ExactEntropy([x])
+    _assert_same(value * n, ExactEntropy([n * x]))
+    _assert_same(n * value, _reference_mul(value, n))
+
+
+@given(values(), values())
+@settings(max_examples=80)
+def test_general_sum_matches_reference(x, y):
+    _assert_same(x + y, _reference_add(x, y))
+
+
+@given(values(max_terms=3), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_general_multiple_matches_reference(x, n):
+    _assert_same(x * n, _reference_mul(x, n))
