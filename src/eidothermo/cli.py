@@ -11,7 +11,11 @@ command instead prints a JSON document with the fields command, inputs,
 result, and diagnostics; every value is a string or an integer, keys
 are sorted, and the same command on the same scenario (and seed)
 produces byte-identical output.  Exit codes: 0 on success or a passing
-suite, 1 when a suite finds counterexamples, 2 on any input error.
+suite, 1 when a suite finds counterexamples, 2 on any input error,
+including inputs too large or too deep to process (`--qmax` above
+MAX_QMAX, `--cases` above MAX_CASES, recursion or enumeration limits).
+Error messages longer than MAX_ERROR_CHARS keep their start and end and
+elide the middle.
 
 Entropy comparisons climb a precision ladder capped by the
 EIDOTHERMO_MAX_BITS environment variable (bits, default 4096).
@@ -44,9 +48,16 @@ from .engine import (
 from .exact import decimal_of
 from .harness import SuiteConfig, SuiteReport, run_axiom_report, run_theorem_report
 from .scenario import Scenario, member_names, parse_scenario
-from .states import Process
+from .states import Process, ResourceCapError
 
 __all__ = ["main"]
+
+#: Upper bounds on the search and suite sizes the CLI accepts.
+MAX_QMAX = 4096
+MAX_CASES = 10_000
+
+#: Longest error message printed whole.
+MAX_ERROR_CHARS = 240
 
 
 @dataclass
@@ -322,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--qmax", type=int, default=64,
-                   help="copies of the process to compare (default: 64)")
+                   help=f"copies of the process to compare "
+                        f"(default: 64, at most {MAX_QMAX})")
 
     p = sub.add_parser("demon", parents=[common],
                        help="smallest information state enabling A -> B + J")
@@ -342,11 +354,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[common], help=helptext)
         p.add_argument("--cases", type=int, default=500,
-                       help="cases per check (default: 500)")
+                       help=f"cases per check (default: 500, at most {MAX_CASES})")
         p.add_argument("--seed", type=int, default=0,
                        help="master seed (default: 0)")
 
     return parser
+
+
+def _check_bounds(args) -> None:
+    for name, cap in (("qmax", MAX_QMAX), ("cases", MAX_CASES)):
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            raise ValueError(f"--{name} must be at most {cap}, got {value}")
+
+
+def _bounded(message: str) -> str:
+    """The message, with its middle elided when it is too long to print whole."""
+    if len(message) <= MAX_ERROR_CHARS:
+        return message
+    keep = MAX_ERROR_CHARS // 2
+    elided = len(message) - 2 * keep
+    return f"{message[:keep]} ... [{elided} characters elided] ... {message[-keep:]}"
 
 
 def _load_scenario(args) -> Scenario:
@@ -360,11 +388,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         scenario = _load_scenario(args)
         output = _HANDLERS[args.command](args, scenario)
-    except (ValueError, KeyError, ArithmeticError, SearchBoundExceeded, OSError) as exc:
+    except (ValueError, KeyError, ArithmeticError, SearchBoundExceeded, OSError,
+            RecursionError, ResourceCapError) as exc:
         message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_bounded(str(message))}", file=sys.stderr)
         return 2
     if args.format == "structured":
         payload = {

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import mpmath
 
 from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
-from .oracle import ModelOracle
+from .oracle import InformationState, ModelOracle
 from .states import (
     Eidostate,
     Process,
@@ -366,7 +366,9 @@ def min_information_to_transform(
     """Smallest information-state size enabling a -> b + J, if any.
 
     Distinguishes a genuinely blocked transformation (no information
-    state can ever help) from exhausting the search bound.
+    state can ever help) from exhausting the search bound.  J enters
+    each arrow by its size alone, so the binary search costs
+    O(log n_max) arrows of constant size.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -374,8 +376,7 @@ def min_information_to_transform(
         return MinInfoResult(MinInfoStatus.BLOCKED)
 
     def helped(n: int) -> bool:
-        j = oracle.make_information_state(n)
-        return oracle.arrow_combined(((a, 1),), ((b, 1), (j, 1)))
+        return oracle.arrow_combined(((a, 1),), ((b, 1), (InformationState(n), 1)))
 
     if not helped(n_max):
         return MinInfoResult(MinInfoStatus.EXHAUSTED)

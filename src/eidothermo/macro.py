@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import mpmath
 
 from .exact import Comparison, ExactEntropy, _precision_ladder, compare_entropy, max_precision_bits
-from .oracle import FactoredState, ModelOracle, StateEquivalence
+from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
 from .states import (
     Atom,
     Eidostate,
@@ -182,6 +182,8 @@ class MacroModel(ModelOracle):
     def _factor_is_uniform(self, f: Eidostate) -> bool:
         cached = self._uniform_cache.get(f)
         if cached is None:
+            if isinstance(f, InformationState):
+                return True
             cached = self.registry.is_uniform(f)
             self._uniform_cache[f] = cached
         return cached
@@ -208,8 +210,12 @@ class MacroModel(ModelOracle):
         q_total = 0
         s_total: Optional[ExactEntropy] = None
         for factor, mult in uniform.items():
-            q_total += self.registry.q_value(factor.members[0]) * mult
-            s_part = self._uniform_entropy(factor) * mult
+            if isinstance(factor, InformationState):
+                # Content-free, with entropy log2 n (see _information_primes).
+                s_part = ExactEntropy.log2_of_int(factor.n) * mult
+            else:
+                q_total += self.registry.q_value(factor.members[0]) * mult
+                s_part = self._uniform_entropy(factor) * mult
             s_total = s_part if s_total is None else s_total + s_part
         return q_total, s_total
 
@@ -220,8 +226,40 @@ class MacroModel(ModelOracle):
 
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
         return self._arrow_primes(
-            _combined_primes(parts_a), _combined_primes(parts_b)
+            self._combined_primes(parts_a), self._combined_primes(parts_b)
         )
+
+    def _combined_primes(self, parts: FactoredState) -> Counter:
+        """Prime multiset of a factored product: primes multiply out additively."""
+        total: Counter = Counter()
+        for factor, mult in parts:
+            if mult == 0:
+                continue
+            if mult < 0:
+                raise ValueError("multiplicities must be nonnegative")
+            if isinstance(factor, InformationState):
+                primes = self._information_primes(factor)
+            else:
+                primes = prime_factors(factor)
+            for prime, count in primes.items():
+                total[prime] += count * mult
+        if not total:
+            raise ValueError("empty product has no primes")
+        return total
+
+    def _information_primes(self, info: InformationState) -> Counter:
+        """The primes a size-only information state stands for.
+
+        Built from content-free, entropy-free records, an information
+        state's primes are all uniform, carry no content, and have
+        entropies summing to log2 n, so the size itself serves as one
+        uniform prime.  Records that carry content or entropy break
+        that identity, and the materialized state is factored instead.
+        """
+        record = self.make_record()
+        if self.registry.q_value(record) == 0 and self.registry.s_value(record) == 0:
+            return Counter({info: 1})
+        return prime_factors(self.make_information_state(info.n))
 
     def _arrow_primes(self, primes_a: Counter, primes_b: Counter) -> bool:
         n_a: Counter = Counter()
@@ -358,21 +396,6 @@ class MacroModel(ModelOracle):
             members.add(self.random_state_with_content(rng, q))
             attempts += 1
         return Eidostate(members)
-
-
-def _combined_primes(parts: FactoredState) -> Counter:
-    """Prime multiset of a factored product: primes multiply out additively."""
-    total: Counter = Counter()
-    for factor, mult in parts:
-        if mult == 0:
-            continue
-        if mult < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        for prime, count in prime_factors(factor).items():
-            total[prime] += count * mult
-    if not total:
-        raise ValueError("empty product has no primes")
-    return total
 
 
 def _random_shape(rng: random.Random, leaves) -> StateExpr:

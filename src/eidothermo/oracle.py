@@ -10,6 +10,10 @@ extras:
 * ``arrow_combined`` decides the arrow between products given as
   (eidostate, multiplicity) factor lists, so many-fold paddings with
   information states never materialize exponentially large member sets;
+  a factor may also be an ``InformationState(n)``, which stands for an
+  n-element information state by its size alone (the theory sees an
+  information state only through its cardinality, with entropy log2 n),
+  so searches over information-state sizes cost O(1) per arrow;
 * ``information_blocked`` reports when no amount of added information
   can enable a transformation, letting searches distinguish "not yet"
   from "never".
@@ -21,13 +25,33 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .exact import ExactEntropy
 from .states import Eidostate, Pair, StateExpr, combine, n_copies
 
-#: A product of eidostates in factored form: pairs of (factor, multiplicity).
-FactoredState = Sequence[Tuple[Eidostate, int]]
+
+@dataclass(frozen=True)
+class InformationState:
+    """An n-element information state known only by its size.
+
+    Models decide arrows on it as they would on the materialized
+    ``ModelOracle.make_information_state(n)``, without building it.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError("n must be a positive integer")
+
+    def __len__(self) -> int:
+        return self.n
+
+
+#: A product in factored form: pairs of (factor, multiplicity), where a
+#: factor is an eidostate or a size-only information state.
+FactoredState = Sequence[Tuple[Union[Eidostate, InformationState], int]]
 
 
 @dataclass(frozen=True)
@@ -63,7 +87,10 @@ class ModelOracle(ABC):
 
     @abstractmethod
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
-        """Arrow between products given in factored form."""
+        """Arrow between products given in factored form.
+
+        Factors may be ``InformationState`` sizes as well as eidostates.
+        """
 
     # -- state functions ----------------------------------------------
 
@@ -99,7 +126,7 @@ class ModelOracle(ABC):
         if n < 1:
             raise ValueError("n must be positive")
         # Reusing instances keeps their factorizations cached across the
-        # repeated searches that demon planning performs.
+        # harness checks that draw information states again and again.
         cache = self.__dict__.setdefault("_information_state_cache", {})
         state = cache.get(n)
         if state is None:
@@ -161,7 +188,8 @@ class ModelOracle(ABC):
 
 
 def expand_factored(parts: FactoredState) -> Eidostate:
-    """Materialize a factored product (for small cases and cross-checks)."""
+    """Materialize a factored product of eidostates (for small cases and
+    cross-checks)."""
     result: Optional[Eidostate] = None
     for factor, mult in parts:
         if mult < 0:

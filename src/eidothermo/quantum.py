@@ -11,20 +11,23 @@ Desk-scale matrix realizations make the criterion constructive: each
 member state receives an explicit projector (orthogonal agent label
 tensored with a seeded pseudo-random subspace projector), and a partial
 isometry between two realized eidostates exists exactly when the
-dimension criterion allows it.
+dimension criterion allows it.  Only the realization and isometry code
+imports numpy, so the arrow, and every command that needs no
+realization, runs without loading it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .exact import ExactEntropy
-from .oracle import FactoredState, ModelOracle, StateEquivalence
+from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
 from .states import Atom, Eidostate, StateExpr, singleton
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNIT_ATOM_LABEL = "u"
 
@@ -150,6 +153,8 @@ class ExplicitRealization:
 
     def projector(self, e: Eidostate) -> np.ndarray:
         """The summed projector of a sub-eidostate of the realized one."""
+        import numpy as np
+
         if not e.issubset(self.eidostate):
             raise ValueError("eidostate is not covered by this realization")
         total = np.zeros((self.space_dim, self.space_dim), dtype=complex)
@@ -166,6 +171,8 @@ class ExplicitRealization:
     def mixture_residual(self) -> float:
         """Entrywise gap between the normalized total projector and the
         dimension-weighted mixture of member density operators."""
+        import numpy as np
+
         d_total = sum(self.dims[m] for m in self.eidostate)
         mix = np.zeros_like(self.total_projector)
         for m in self.eidostate:
@@ -175,6 +182,8 @@ class ExplicitRealization:
 
     def self_check(self) -> Dict[str, float]:
         """Worst-case deviations from the declared projector invariants."""
+        import numpy as np
+
         idem = 0.0
         ortho = 0.0
         trace = 0.0
@@ -214,7 +223,12 @@ class QuantumModel(ModelOracle):
                 raise ValueError("multiplicities must be nonnegative")
             if mult:
                 seen = True
-                total *= self.registry.eidostate_dim(factor) ** mult
+                if isinstance(factor, InformationState):
+                    # n records, each of dimension one.
+                    dim = factor.n
+                else:
+                    dim = self.registry.eidostate_dim(factor)
+                total *= dim ** mult
         if not seen:
             raise ValueError("empty product has no dimension")
         return total
@@ -266,6 +280,8 @@ class QuantumModel(ModelOracle):
         overlap exactly 2^{-1/2}, and the entangled membership vector
         over those two members is attached.
         """
+        import numpy as np
+
         members = e.members
         agent_dim = len(members)
         if agent_dim > MAX_AGENT_DIM:
@@ -344,6 +360,8 @@ class QuantumModel(ModelOracle):
         self, u: np.ndarray, a: Eidostate, b: Eidostate, realization: ExplicitRealization
     ) -> float:
         """Frobenius norm of the part of U P_a falling outside b's subspace."""
+        import numpy as np
+
         p_a = realization.projector(a)
         p_b = realization.projector(b)
         eye = np.eye(p_b.shape[0], dtype=complex)
@@ -358,6 +376,8 @@ def _random_subspace(
 ) -> np.ndarray:
     """An orthonormal basis (columns) of a random subspace, containing the
     anchor vector as its first column when one is given."""
+    import numpy as np
+
     if subspace_dim > space_dim:
         raise ValueError("subspace dimension exceeds the space")
     columns = []
@@ -382,6 +402,8 @@ def _random_subspace(
 
 def _range_basis(projector: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis (columns) of a projector's range via eigenvectors."""
+    import numpy as np
+
     eigenvalues, eigenvectors = np.linalg.eigh(projector)
     order = np.argsort(eigenvalues)[::-1]
     top = eigenvalues[order[:rank]]

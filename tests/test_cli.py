@@ -11,6 +11,7 @@ import pytest
 from eidothermo import cli
 from eidothermo.harness import CheckResult, CounterexampleRecord, SuiteReport
 from eidothermo.scenario import MAX_EXPR_NESTING
+from eidothermo.states import ResourceCapError
 
 LADDER_SCENARIO = """\
 model macro
@@ -273,6 +274,22 @@ def test_expression_at_nesting_limit_accepted(capsys, szilard, tmp_path):
     assert code == 0
 
 
+def test_long_error_line_keeps_both_ends(capsys, szilard, tmp_path):
+    text = open(szilard).read()
+    path = tmp_path / "deep.txt"
+    path.write_text(
+        text + f"state deep = {_nested_state(MAX_EXPR_NESTING)}\n"
+        "eidostate E = { deep, v }\n"
+    )
+    code, out, err = run_cli(capsys, "prob", "--scenario", str(path), "deep", "E")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eidostate {")
+    assert err.endswith("is not uniform\n")
+    assert "characters elided" in err
+    assert len(err) <= cli.MAX_ERROR_CHARS + 100
+
+
 def test_unknown_name(capsys, szilard):
     code, _, err = run_cli(capsys, "classify", "--scenario", szilard, "vr", "Nope")
     assert code == 2
@@ -302,6 +319,53 @@ def test_bad_qmax_rejected(capsys, szilard):
     )
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("irrev", "v0", "v", "--qmax", str(cli.MAX_QMAX + 1)),
+    ("check-axioms", "--cases", str(cli.MAX_CASES + 1)),
+    ("check-theorems", "--cases", str(cli.MAX_CASES + 1)),
+])
+def test_oversized_inputs_rejected(capsys, szilard, argv):
+    code, out, err = run_cli(capsys, *argv, "--scenario", szilard)
+    assert code == 2
+    assert out == ""
+    assert "must be at most" in err
+
+
+@pytest.mark.parametrize("exc", [
+    RecursionError("maximum recursion depth exceeded"),
+    ResourceCapError("subset enumeration over 21 members exceeds the cap of 20"),
+])
+def test_resource_errors_exit_2(capsys, szilard, monkeypatch, exc):
+    def handler(args, sc):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", handler)
+    code, out, err = run_cli(capsys, "classify", "--scenario", szilard, "r", "Ib")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {exc.args[0]}\n"
+
+
+def test_demon_huge_nmax(capsys, szilard):
+    code, out, _ = run_cli(
+        capsys, "demon", "--scenario", szilard, "r", "Ib",
+        "--nmax", "4611686018427387904",
+    )
+    assert code == 0
+    assert out == "minimal information-state size: 1\n"
+
+
+def test_cli_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eidothermo.cli, eidothermo.quantum; "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_argparse_exit_codes(szilard):
