@@ -63,20 +63,9 @@ def classify(process: Process, oracle: ModelOracle) -> ProcessType:
     return ProcessType.IMPOSSIBLE
 
 
-def is_uniform(e: Eidostate, oracle: ModelOracle) -> bool:
-    """Every pair of members connected by a possible process."""
-    members = e.members
-    for i, a in enumerate(members):
-        sa = singleton(a)
-        for b in members[i + 1 :]:
-            if not oracle.possible(sa, singleton(b)):
-                return False
-    return True
-
-
 def entropy_uniform(e: Eidostate, oracle: ModelOracle) -> ExactEntropy:
     """Entropy of a uniform eidostate aggregated from member entropies."""
-    if not is_uniform(e, oracle):
+    if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     return ExactEntropy.log2_sum_of_powers(oracle.state_entropy(m) for m in e)
 
@@ -101,20 +90,16 @@ def _to_mpf(value):
     return mpmath.mpf(value)
 
 
+def _weights(members: Sequence[StateExpr], oracle: ModelOracle) -> list:
+    """2^S(m) for each member, in the given order, at the ambient precision."""
+    return [_power_sum(oracle.state_entropy(m)) for m in members]
+
+
 def entropic_probability(
     a: StateExpr, e: Eidostate, oracle: ModelOracle, bits: int = DEFAULT_BITS
 ):
     """P(a | e) = 2^(S(a) - S(e)) for members, 0 otherwise."""
-    if not is_uniform(e, oracle):
-        raise NotUniformError(f"eidostate {e} is not uniform")
-    with mpmath.workprec(bits):
-        if a not in e:
-            return mpmath.mpf(0)
-        member = _power_sum(oracle.state_entropy(a))
-        total = mpmath.mpf(0)
-        for m in e:
-            total += _power_sum(oracle.state_entropy(m))
-        return member / total
+    return conditional_probability((a,), e.members, e, oracle, bits)
 
 
 def conditional_probability(
@@ -124,24 +109,21 @@ def conditional_probability(
     oracle: ModelOracle,
     bits: int = DEFAULT_BITS,
 ):
-    """P(b | a within e), with empty sets carrying probability zero."""
-    if not is_uniform(e, oracle):
+    """P(b | a within e), with empty sets carrying probability zero.
+
+    Weights are summed in e's member order, so results do not depend on
+    set iteration order.
+    """
+    if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
-    members = set(e.members)
-    set_a = set(a) & members
-    if not set_a:
+    set_a, set_b = set(a), set(b)
+    given = [m for m in e.members if m in set_a]
+    if not given:
         raise ValueError("conditioning set does not meet the eidostate")
-    set_ba = set(b) & set_a
     with mpmath.workprec(bits):
-        denom = mpmath.mpf(0)
-        for m in set_a:
-            denom += _power_sum(oracle.state_entropy(m))
-        if not set_ba:
-            return mpmath.mpf(0)
-        numer = mpmath.mpf(0)
-        for m in set_ba:
-            numer += _power_sum(oracle.state_entropy(m))
-        return numer / denom
+        weights = _weights(given, oracle)
+        numer = sum((w for m, w in zip(given, weights) if m in set_b), mpmath.mpf(0))
+        return numer / sum(weights, mpmath.mpf(0))
 
 
 @dataclass(frozen=True)
@@ -161,32 +143,23 @@ class ProbabilityReport:
                 self.entropy_total - (self.mean_state_entropy + self.shannon_term)
             )
 
-    def support_decimals(self, digits: int = PROBABILITY_DIGITS) -> Dict[StateExpr, str]:
-        with mpmath.workprec(self.bits):
-            return {
-                m: mpmath.nstr(p, digits, strip_zeros=False)
-                for m, p in self.support.items()
-            }
-
 
 def shannon_decomposition(
     e: Eidostate, oracle: ModelOracle, bits: int = DEFAULT_BITS
 ) -> ProbabilityReport:
     """Probabilities plus the identity S(E) = <S> + H evaluated at the
     given working precision."""
-    if not is_uniform(e, oracle):
+    if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
-    entropies = {m: oracle.state_entropy(m) for m in e}
+    members = e.members
     with mpmath.workprec(bits):
-        weights = {m: _power_sum(v) for m, v in entropies.items()}
-        total_weight = mpmath.mpf(0)
-        for w in weights.values():
-            total_weight += w
-        support = {m: w / total_weight for m, w in weights.items()}
+        weights = _weights(members, oracle)
+        total_weight = sum(weights, mpmath.mpf(0))
+        support = {m: w / total_weight for m, w in zip(members, weights)}
         mean = mpmath.mpf(0)
         shannon = mpmath.mpf(0)
         for m, p in support.items():
-            mean += p * entropy_mpf(entropies[m], bits)
+            mean += p * entropy_mpf(oracle.state_entropy(m), bits)
             if p > 0:
                 shannon -= p * mpmath.log(p, 2)
         total = mpmath.log(total_weight, 2)
@@ -209,7 +182,7 @@ def gibbs_gap(
 
     Nonnegative always; zero exactly at the entropic distribution.
     """
-    if not is_uniform(e, oracle):
+    if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     members = set(e.members)
     if not set(distribution) <= members:

@@ -15,17 +15,18 @@ consequent fails (a "finite-stability anomaly", since the clause
 quantifies over unbounded copy counts).  Inconclusive cases are reported
 but are not counterexamples.
 
-The module also provides three deliberately broken oracles.  They exist
+The module also provides four deliberately broken oracles.  They exist
 so the sensitivity tests can confirm the suites catch a model that drops
-content conservation, orders entropy the wrong way round, or hands out
-record states that silently carry entropy.
+content conservation, orders entropy the wrong way round, ignores the
+non-uniform parts, or hands out record states that silently carry
+entropy.  Each overrides one method of the macro model: one arrow
+criterion, or the record constructor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -110,10 +111,6 @@ class SuiteReport:
     @property
     def counterexamples(self) -> List[CounterexampleRecord]:
         return [r for result in self.results for r in result.counterexamples]
-
-    @property
-    def inconclusive_count(self) -> int:
-        return sum(len(result.inconclusive) for result in self.results)
 
 
 def _case_seed(master: int, check_id: str, index: int) -> int:
@@ -645,23 +642,8 @@ class MutantDropContentCriterion(MacroModel):
 
     name = "macro-mutant-no-content"
 
-    def _arrow_primes(self, primes_a, primes_b) -> bool:
-        n_a, u_a, n_b, u_b = Counter(), Counter(), Counter(), Counter()
-        for factor, mult in primes_a.items():
-            (u_a if self._factor_is_uniform(factor) else n_a)[factor] += mult
-        for factor, mult in primes_b.items():
-            (u_b if self._factor_is_uniform(factor) else n_b)[factor] += mult
-        if n_a != n_b:
-            return False
-        if not u_a and not u_b:
-            return True
-        _, sa = self._uniform_part_values(u_a)
-        _, sb = self._uniform_part_values(u_b)
-        if u_a and u_b:
-            return compare_entropy(sa, sb) is not Comparison.GREATER
-        if u_a:
-            return compare_entropy(sa, ZERO) is Comparison.EQUAL
-        return compare_entropy(sb, ZERO) is not Comparison.LESS
+    def _q_criterion(self, qa, qb) -> bool:
+        return True
 
 
 class MutantFlippedEntropyOrder(MacroModel):
@@ -672,25 +654,24 @@ class MutantFlippedEntropyOrder(MacroModel):
 
     name = "macro-mutant-flipped-entropy"
 
-    def _arrow_primes(self, primes_a, primes_b) -> bool:
-        n_a, u_a, n_b, u_b = Counter(), Counter(), Counter(), Counter()
-        for factor, mult in primes_a.items():
-            (u_a if self._factor_is_uniform(factor) else n_a)[factor] += mult
-        for factor, mult in primes_b.items():
-            (u_b if self._factor_is_uniform(factor) else n_b)[factor] += mult
-        if n_a != n_b:
-            return False
-        if not u_a and not u_b:
-            return True
-        qa, sa = self._uniform_part_values(u_a)
-        qb, sb = self._uniform_part_values(u_b)
-        if u_a and u_b:
-            if qa != qb:
-                return False
+    def _s_criterion(self, sa, sb) -> bool:
+        if sa is not None and sb is not None:
             return compare_entropy(sa, sb) is not Comparison.LESS
-        if u_a:
-            return qa == 0 and compare_entropy(sa, ZERO) is Comparison.EQUAL
-        return qb == 0 and compare_entropy(sb, ZERO) is not Comparison.LESS
+        return super()._s_criterion(sa, sb)
+
+
+class MutantDropNonUniformCriterion(MacroModel):
+    """Deliberate fault: the arrow ignores the non-uniform parts.
+
+    Only the uniform parts are compared, so an eidostate may turn into
+    one with different non-uniform factors, such as a proper subset of
+    itself.
+    """
+
+    name = "macro-mutant-no-nonuniform"
+
+    def _n_criterion(self, n_a, n_b) -> bool:
+        return True
 
 
 class MutantWeightedRecords(MacroModel):

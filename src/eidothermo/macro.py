@@ -3,13 +3,14 @@
 Atoms are a record atom (content 0, entropy 0) and a family of unit
 content atoms with entropy values in [0,1].  Content and entropy extend
 additively over pairing.  The arrow relation between eidostates is
-decided on their prime factorizations: split the prime factors into
-non-uniform and uniform parts, then require
+decided on their prime factorizations: ``MacroModel._split`` divides the
+prime factors into non-uniform and uniform parts, and the arrow holds
+when three criteria do, each one method:
 
-* N-criterion: the non-uniform parts are identical multisets;
-* Q-criterion: both uniform parts absent, or only one present with
+* ``_n_criterion``: the non-uniform parts are identical multisets;
+* ``_q_criterion``: both uniform parts absent, or only one present with
   content zero, or both present with equal content;
-* S-criterion: both absent, or only the initial present with entropy
+* ``_s_criterion``: both absent, or only the initial present with entropy
   zero, or only the final present with nonnegative entropy, or both
   present with initial entropy <= final entropy.
 
@@ -30,14 +31,7 @@ import mpmath
 
 from .exact import Comparison, ExactEntropy, _precision_ladder, compare_entropy, max_precision_bits
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
-from .states import (
-    Atom,
-    Eidostate,
-    Pair,
-    StateExpr,
-    prime_factors,
-    singleton,
-)
+from .states import Atom, Eidostate, Pair, StateExpr, prime_factors
 
 #: Default cap on the denominator of entropy values accepted from scenarios.
 LAMBDA_DENOMINATOR_CAP = 2**16
@@ -188,15 +182,16 @@ class MacroModel(ModelOracle):
             self._uniform_cache[f] = cached
         return cached
 
-    def nu_decompose(self, e: Eidostate) -> NUDecomposition:
+    def _split(self, primes: Counter) -> Tuple[Counter, Counter]:
+        """The prime multiset as (non-uniform part, uniform part)."""
         non_uniform: Counter = Counter()
         uniform: Counter = Counter()
-        for factor, mult in prime_factors(e).items():
-            if self._factor_is_uniform(factor):
-                uniform[factor] += mult
-            else:
-                non_uniform[factor] += mult
-        return NUDecomposition(non_uniform=non_uniform, uniform=uniform)
+        for factor, mult in primes.items():
+            (uniform if self._factor_is_uniform(factor) else non_uniform)[factor] += mult
+        return non_uniform, uniform
+
+    def nu_decompose(self, e: Eidostate) -> NUDecomposition:
+        return NUDecomposition(*self._split(prime_factors(e)))
 
     def _uniform_entropy(self, f: Eidostate) -> ExactEntropy:
         cached = self._prime_entropy_cache.get(f)
@@ -221,13 +216,37 @@ class MacroModel(ModelOracle):
 
     # -- the arrow ----------------------------------------------------
 
-    def arrow(self, a: Eidostate, b: Eidostate) -> bool:
-        return self.arrow_combined(((a, 1),), ((b, 1),))
-
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
-        return self._arrow_primes(
-            self._combined_primes(parts_a), self._combined_primes(parts_b)
-        )
+        primes_a, primes_b = self._combined_primes(parts_a), self._combined_primes(parts_b)
+        n_a, u_a = self._split(primes_a)
+        n_b, u_b = self._split(primes_b)
+        if not self._n_criterion(n_a, n_b):
+            return False
+        qa, sa = self._uniform_part_values(u_a) if u_a else (None, None)
+        qb, sb = self._uniform_part_values(u_b) if u_b else (None, None)
+        # Content first: no entropy comparison runs when content fails.
+        return self._q_criterion(qa, qb) and self._s_criterion(sa, sb)
+
+    def _n_criterion(self, n_a: Counter, n_b: Counter) -> bool:
+        return n_a == n_b
+
+    def _q_criterion(self, qa: Optional[int], qb: Optional[int]) -> bool:
+        """Content is conserved; an absent uniform part (None) carries none."""
+        return (qa or 0) == (qb or 0)
+
+    def _s_criterion(
+        self, sa: Optional[ExactEntropy], sb: Optional[ExactEntropy]
+    ) -> bool:
+        """Entropy does not decrease; None marks an absent uniform part."""
+        if sa is None and sb is None:
+            return True
+        if sb is None:
+            # Only the initial side has a uniform part: it must be
+            # entropy-free to be absorbable.
+            return compare_entropy(sa, ZERO) is Comparison.EQUAL
+        if sa is None:
+            return compare_entropy(sb, ZERO) is not Comparison.LESS
+        return compare_entropy(sa, sb) is not Comparison.GREATER
 
     def _combined_primes(self, parts: FactoredState) -> Counter:
         """Prime multiset of a factored product: primes multiply out additively."""
@@ -260,33 +279,6 @@ class MacroModel(ModelOracle):
         if self.registry.q_value(record) == 0 and self.registry.s_value(record) == 0:
             return Counter({info: 1})
         return prime_factors(self.make_information_state(info.n))
-
-    def _arrow_primes(self, primes_a: Counter, primes_b: Counter) -> bool:
-        n_a: Counter = Counter()
-        u_a: Counter = Counter()
-        n_b: Counter = Counter()
-        u_b: Counter = Counter()
-        for factor, mult in primes_a.items():
-            (u_a if self._factor_is_uniform(factor) else n_a)[factor] += mult
-        for factor, mult in primes_b.items():
-            (u_b if self._factor_is_uniform(factor) else n_b)[factor] += mult
-
-        if n_a != n_b:
-            return False
-
-        if not u_a and not u_b:
-            return True
-        qa, sa = self._uniform_part_values(u_a)
-        qb, sb = self._uniform_part_values(u_b)
-        if u_a and u_b:
-            if qa != qb:
-                return False
-            return compare_entropy(sa, sb) is not Comparison.GREATER
-        if u_a:
-            # Only the initial side has a uniform part: it must be
-            # content-free and entropy-free to be absorbable.
-            return qa == 0 and compare_entropy(sa, ZERO) is Comparison.EQUAL
-        return qb == 0 and compare_entropy(sb, ZERO) is not Comparison.LESS
 
     # -- oracle contract ----------------------------------------------
 
@@ -348,13 +340,14 @@ class MacroModel(ModelOracle):
 
     def information_blocked(self, a: Eidostate, b: Eidostate) -> bool:
         """No information state can help when contents or non-uniform parts differ."""
-        da = self.nu_decompose(a)
-        db = self.nu_decompose(b)
-        if da.non_uniform != db.non_uniform:
+        n_a, u_a = self._split(prime_factors(a))
+        n_b, u_b = self._split(prime_factors(b))
+        if n_a != n_b:
             return True
-        qa, _ = self._uniform_part_values(da.uniform)
-        qb, _ = self._uniform_part_values(db.uniform)
-        return qa != qb
+        return self._uniform_part_values(u_a)[0] != self._uniform_part_values(u_b)[0]
+
+    def is_uniform(self, e: Eidostate) -> bool:
+        return self.registry.is_uniform(e)
 
     # -- generation ---------------------------------------------------
 

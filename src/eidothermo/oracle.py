@@ -4,8 +4,10 @@ A model supplies the arrow relation, per-state entropy and conserved
 components, the record/mechanical predicates, and constructors for the
 special states the theory quantifies over (records, bit states,
 information states, state equivalences).  It also supplies seeded random
-generators so suites are reproducible, plus two performance-critical
-extras:
+generators so suites are reproducible.  A model implements
+``arrow_combined`` and gets ``arrow`` from it; it may override
+``is_uniform`` (by default O(n^2) arrows between members) and
+``information_blocked`` with cheaper exact answers:
 
 * ``arrow_combined`` decides the arrow between products given as
   (eidostate, multiplicity) factor lists, so many-fold paddings with
@@ -25,10 +27,10 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .exact import ExactEntropy
-from .states import Eidostate, Pair, StateExpr, combine, n_copies
+from .states import Eidostate, Pair, StateExpr, combine, n_copies, singleton
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,9 @@ class InformationState:
     def __len__(self) -> int:
         return self.n
 
+
+#: Draws ``random_uniform_eidostate`` makes before settling for a singleton.
+UNIFORM_DRAW_ATTEMPTS = 20
 
 #: A product in factored form: pairs of (factor, multiplicity), where a
 #: factor is an eidostate or a size-only information state.
@@ -78,9 +83,9 @@ class ModelOracle(ABC):
 
     # -- relations ----------------------------------------------------
 
-    @abstractmethod
     def arrow(self, a: Eidostate, b: Eidostate) -> bool:
         """True when a may be transformed into b with no other net change."""
+        return self.arrow_combined(((a, 1),), ((b, 1),))
 
     def possible(self, a: Eidostate, b: Eidostate) -> bool:
         return self.arrow(a, b) or self.arrow(b, a)
@@ -91,6 +96,16 @@ class ModelOracle(ABC):
 
         Factors may be ``InformationState`` sizes as well as eidostates.
         """
+
+    def is_uniform(self, e: Eidostate) -> bool:
+        """Every pair of members connected by a possible process."""
+        members = e.members
+        for i, a in enumerate(members):
+            sa = singleton(a)
+            for b in members[i + 1 :]:
+                if not self.possible(sa, singleton(b)):
+                    return False
+        return True
 
     # -- state functions ----------------------------------------------
 
@@ -183,8 +198,16 @@ class ModelOracle(ABC):
     def random_uniform_eidostate(
         self, rng: random.Random, max_size: int = 6, max_depth: int = 4
     ) -> Eidostate:
-        """A random eidostate whose members are pairwise possible."""
-        return self.random_eidostate(rng, max_size, max_depth)
+        """A random eidostate whose members are pairwise possible.
+
+        Redraws until ``is_uniform`` holds; after a bounded number of
+        attempts falls back to a singleton of a drawn member.
+        """
+        for _ in range(UNIFORM_DRAW_ATTEMPTS):
+            e = self.random_eidostate(rng, max_size, max_depth)
+            if self.is_uniform(e):
+                return e
+        return singleton(rng.choice(e.members))
 
 
 def expand_factored(parts: FactoredState) -> Eidostate:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from .exact import ExactEntropy
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
-from .states import Atom, Eidostate, StateExpr, singleton
+from .states import Atom, Eidostate, StateExpr
 
 if TYPE_CHECKING:
     import numpy as np
@@ -209,9 +209,6 @@ class QuantumModel(ModelOracle):
 
     # -- relations ----------------------------------------------------
 
-    def arrow(self, a: Eidostate, b: Eidostate) -> bool:
-        return self.registry.eidostate_dim(a) <= self.registry.eidostate_dim(b)
-
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
         return self._product_dim(parts_a) <= self._product_dim(parts_b)
 
@@ -232,6 +229,10 @@ class QuantumModel(ModelOracle):
         if not seen:
             raise ValueError("empty product has no dimension")
         return total
+
+    def is_uniform(self, e: Eidostate) -> bool:
+        """Always: any two dimensions are ordered, so every pair is possible."""
+        return True
 
     # -- state functions ----------------------------------------------
 

@@ -163,11 +163,6 @@ class Pair(StateExpr):
         return f"({self.left} + {self.right})"
 
 
-def pair_state(left: StateExpr, right: StateExpr) -> Pair:
-    """Combine two single states into their ordered pair."""
-    return Pair(left, right)
-
-
 class Eidostate:
     """A finite nonempty set of state expressions in canonical order.
 

@@ -1,6 +1,9 @@
 """Tests for the model-generic engine."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +24,6 @@ from eidothermo.engine import (
     gibbs_gap,
     info_balance_check,
     irreversibility_estimate,
-    is_uniform,
     landauer_check,
     min_information_to_transform,
     process_equivalent,
@@ -72,8 +74,11 @@ def test_classify_reversible_and_impossible(macro):
 
 
 def test_is_uniform_via_arrows(macro):
-    assert is_uniform(Eidostate([S0, S1]), macro)
-    assert not is_uniform(Eidostate([R, S0]), macro)
+    assert macro.is_uniform(Eidostate([S0, S1]))
+    assert not macro.is_uniform(Eidostate([R, S0]))
+    # The generic pairwise-arrow default gives the same answers.
+    assert ModelOracle.is_uniform(macro, Eidostate([S0, S1]))
+    assert not ModelOracle.is_uniform(macro, Eidostate([R, S0]))
 
 
 def test_entropy_uniform_information_state(macro):
@@ -113,6 +118,33 @@ def test_conditional_probability_rules(macro):
     with pytest.raises(ValueError):
         conditional_probability([S0], [Atom("s_3/4")], e, macro)
     assert conditional_probability([S1], [S0, SH], e, macro) == 0
+
+
+def test_conditional_probability_is_independent_of_hash_seed():
+    # Weights must be summed in member order: summing them in set order
+    # moved the last bits with PYTHONHASHSEED.
+    script = (
+        "from fractions import Fraction as F\n"
+        "from eidothermo.engine import conditional_probability\n"
+        "from eidothermo.macro import MacroModel\n"
+        "from eidothermo.states import Eidostate\n"
+        "m = MacroModel()\n"
+        "lams = (F(1, 3), F(1, 7), F(2, 5), F(5, 9), F(1, 11), F(7, 13))\n"
+        "atoms = [m.registry.ensure_s_atom(x) for x in lams]\n"
+        "e = Eidostate(atoms)\n"
+        "print(conditional_probability(atoms[:2], atoms, e, m)._mpf_)\n"
+        "print(conditional_probability(atoms[1:4], atoms[:5], e, m)._mpf_)\n"
+    )
+    outputs = set()
+    for seed in (1, 2, 3, 4):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_conditional_additivity(macro):

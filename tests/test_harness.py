@@ -1,11 +1,15 @@
 """Tests for the randomized verification suites."""
 
+import hashlib
+import json
+
 import pytest
 
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
     MutantDropContentCriterion,
+    MutantDropNonUniformCriterion,
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
     SuiteConfig,
@@ -18,6 +22,11 @@ from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
 
 FAST = SuiteConfig(cases_per_check=60, seed=42)
+
+#: sha256 of the axiom and theorem reports of the five models in
+#: ``test_suite_reports_are_pinned`` at SuiteConfig(20, seed=42).  Any
+#: change to a verdict, a counterexample or an inconclusive note moves it.
+PINNED_REPORT_DIGEST = "2a0d65981bf980f8e94d8fc9022bf1fd5117193ce83feede1345aef723d8da60"
 
 
 def test_config_validates_bounds():
@@ -108,6 +117,13 @@ def test_flipped_entropy_mutant_is_caught():
     assert "Axiom 3" in {r.check_id for r in records}
 
 
+def test_drop_nonuniform_mutant_is_caught():
+    records = run_axiom_suite(
+        MutantDropNonUniformCriterion(), SuiteConfig(cases_per_check=20, seed=42)
+    )
+    assert "Axiom 3" in {r.check_id for r in records}
+
+
 def test_weighted_records_mutant_is_caught_constructively():
     report = run_axiom_report(
         MutantWeightedRecords(), SuiteConfig(cases_per_check=5, seed=42)
@@ -126,3 +142,27 @@ def test_counterexample_records_carry_replay_data():
     assert sample.seed > 0
     assert sample.inputs
     assert sample.observed
+
+
+def test_suite_reports_are_pinned():
+    config = SuiteConfig(cases_per_check=20, seed=42)
+    rows = []
+    for cls in (
+        MacroModel,
+        QuantumModel,
+        MutantDropContentCriterion,
+        MutantFlippedEntropyOrder,
+        MutantWeightedRecords,
+    ):
+        model = cls()
+        for report in (run_axiom_report(model, config), run_theorem_report(model, config)):
+            for result in report.results:
+                rows.append([
+                    cls.name,
+                    result.check_id,
+                    result.cases,
+                    [[c.seed, c.inputs, c.observed] for c in result.counterexamples],
+                    [list(case) for case in result.inconclusive],
+                ])
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_REPORT_DIGEST

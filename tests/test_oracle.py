@@ -1,4 +1,5 @@
-"""Size-only information states against the materialized ones they stand for."""
+"""The oracle contract's generic defaults, and size-only information states
+against the materialized ones they stand for."""
 
 import random
 
@@ -11,7 +12,7 @@ from eidothermo.harness import (
     MutantWeightedRecords,
 )
 from eidothermo.macro import MacroModel
-from eidothermo.oracle import InformationState
+from eidothermo.oracle import InformationState, ModelOracle
 from eidothermo.quantum import QuantumModel
 from eidothermo.states import Atom, Eidostate, singleton
 
@@ -22,6 +23,26 @@ MODELS = (
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
 )
+
+
+def test_default_uniform_draws_are_uniform():
+    model = MacroModel()
+    for seed in range(200):
+        e = ModelOracle.random_uniform_eidostate(model, random.Random(seed))
+        assert model.registry.is_uniform(e), (seed, e)
+
+
+@pytest.mark.parametrize("cls", (MacroModel, QuantumModel))
+def test_is_uniform_matches_pairwise_default(cls):
+    model = cls()
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(200):
+        e = model.random_eidostate(rng, 5, 3)
+        verdict = model.is_uniform(e)
+        assert verdict == ModelOracle.is_uniform(model, e), e
+        verdicts.add(verdict)
+    assert verdicts == ({True, False} if cls is MacroModel else {True})
 
 
 def _draw_pair(model, rng):
