@@ -9,7 +9,14 @@ algebra, and adiabatic accessibility.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
-as independent cross-checks in the tests.
+as independent cross-checks in the tests.  For each copy count q it runs
+two threshold searches over the bit-process count p (``_last_holding``):
+each probes a guess taken from the cut found for smaller q (q times the
+bracket end, rounded), gallops outward with doubling steps until the
+threshold is bracketed, and bisects.  Since the threshold for q copies is
+q times the irreversibility, rounded, most searches end after two arrows.
+The search floor (forward) and ceiling (backward) are evaluated only
+when a search reaches them.
 """
 
 from __future__ import annotations
@@ -182,8 +189,7 @@ def gibbs_gap(
 
     Nonnegative always; zero exactly at the entropic distribution.
     """
-    if not oracle.is_uniform(e):
-        raise NotUniformError(f"eidostate {e} is not uniform")
+    entropy = entropy_uniform(e, oracle)
     members = set(e.members)
     if not set(distribution) <= members:
         raise ValueError("distribution assigns weight outside the eidostate")
@@ -202,8 +208,7 @@ def gibbs_gap(
             if p > 0:
                 mean += p * entropy_mpf(oracle.state_entropy(m), bits)
                 shannon -= p * mpmath.log(p, 2)
-        total_entropy = entropy_mpf(entropy_uniform(e, oracle), bits)
-        return total_entropy - (mean + shannon)
+        return entropy_mpf(entropy, bits) - (mean + shannon)
 
 
 # -- irreversibility --------------------------------------------------
@@ -257,6 +262,46 @@ def _backward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
     return oracle.arrow_combined(parts_a, parts_b)
 
 
+def _last_holding(holds, lo: int, hi: int, guess: int) -> int:
+    """Largest p in [lo, hi) with holds(p), for a predicate that holds up
+    to a threshold and fails beyond it.
+
+    holds(lo) is taken to be true and holds(hi) false; neither endpoint
+    is evaluated.  The search probes the guess, gallops away from it
+    with doubling steps until the threshold is bracketed, then bisects.
+    A guess at the threshold or one above it costs two predicate calls.
+    """
+    yes, no = lo, hi
+    guess = min(max(guess, lo), hi - 1)
+    if guess > lo:
+        if holds(guess):
+            yes = guess
+        else:
+            no = guess
+    step = 1
+    if no == hi:
+        while yes + step < no:
+            if not holds(yes + step):
+                no = yes + step
+                break
+            yes += step
+            step *= 2
+    else:
+        while no - step > yes:
+            if holds(no - step):
+                yes = no - step
+                break
+            no -= step
+            step *= 2
+    while no - yes > 1:
+        mid = (yes + no) // 2
+        if holds(mid):
+            yes = mid
+        else:
+            no = mid
+    return yes
+
+
 def irreversibility_estimate(
     a: StateExpr, b: StateExpr, q_max: int, oracle: ModelOracle
 ) -> IrreversibilityEstimate:
@@ -264,8 +309,10 @@ def irreversibility_estimate(
 
     For each copy count q the largest p with "q processes drive p bit
     processes" joins the lower cut, and the smallest p with the reverse
-    joins the upper cut; both searches are binary, relying only on the
-    arrow oracle and monotonicity in p.
+    joins the upper cut.  Both are threshold searches that rely only on
+    the arrow oracle and monotonicity in p; each starts from the cut
+    already found for smaller q, since the threshold for q copies is
+    q times the irreversibility, rounded.
     """
     if q_max < 1:
         raise ValueError("q_max must be positive")
@@ -282,35 +329,33 @@ def irreversibility_estimate(
     for q in range(1, q_max + 1):
         bound = q * (ceiling + 1) + 8
 
-        # Largest p with the forward relation: true at -bound, false
-        # beyond +bound.
-        lo, hi = -bound, bound + 1
-        if not _forward_holds(oracle, sa, sb, bit, srecord, q, lo):
+        def forward(p: int) -> bool:
+            return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
+
+        def backward(p: int) -> bool:
+            return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
+
+        # Largest p with the forward relation: it must hold at -bound
+        # (checked only when the search lands there) and fails beyond
+        # +bound.
+        guess = 0 if best_lower is None else math.floor(q * best_lower)
+        lower = _last_holding(forward, -bound, bound + 1, guess)
+        if lower == -bound and not forward(lower):
             raise ImpossibleProcessError(
                 f"forward relation failed at the search floor for q={q}"
             )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _forward_holds(oracle, sa, sb, bit, srecord, q, mid):
-                lo = mid
-            else:
-                hi = mid
-        lower_candidate = Fraction(lo, q)
 
-        # Smallest p with the backward relation.
-        lo2, hi2 = -bound - 1, bound
-        if not _backward_holds(oracle, sa, sb, bit, srecord, q, hi2):
+        # Smallest p with the backward relation, one past the largest p
+        # without it: it must hold at +bound (checked only when the
+        # search lands there).
+        guess = 0 if best_upper is None else math.ceil(q * best_upper) - 1
+        upper = _last_holding(lambda p: not backward(p), -bound - 1, bound, guess) + 1
+        if upper == bound and not backward(upper):
             raise ImpossibleProcessError(
                 f"backward relation failed at the search ceiling for q={q}"
             )
-        while hi2 - lo2 > 1:
-            mid = (lo2 + hi2) // 2
-            if _backward_holds(oracle, sa, sb, bit, srecord, q, mid):
-                hi2 = mid
-            else:
-                lo2 = mid
-        upper_candidate = Fraction(hi2, q)
 
+        lower_candidate, upper_candidate = Fraction(lower, q), Fraction(upper, q)
         if best_lower is None or lower_candidate > best_lower:
             best_lower = lower_candidate
         if best_upper is None or upper_candidate < best_upper:

@@ -3,9 +3,12 @@
 Atoms are a record atom (content 0, entropy 0) and a family of unit
 content atoms with entropy values in [0,1].  Content and entropy extend
 additively over pairing.  The arrow relation between eidostates is
-decided on their prime factorizations: ``MacroModel._split`` divides the
-prime factors into non-uniform and uniform parts, and the arrow holds
-when three criteria do, each one method:
+decided on their prime factorizations.  ``MacroModel._walk`` makes one
+pass over each side's (factor, multiplicity) list and its primes: it
+builds the non-uniform part, collects the uniform primes and sums their
+content, reading each prime's (content, entropy), or None for a
+non-uniform prime, from one per-model cache.  The arrow holds when three
+criteria do, each one method:
 
 * ``_n_criterion``: the non-uniform parts are identical multisets;
 * ``_q_criterion``: both uniform parts absent, or only one present with
@@ -13,6 +16,9 @@ when three criteria do, each one method:
 * ``_s_criterion``: both absent, or only the initial present with entropy
   zero, or only the final present with nonnegative entropy, or both
   present with initial entropy <= final entropy.
+
+The entropy totals of the uniform parts are summed only once the first
+two criteria have passed.
 
 All comparisons are exact (rational exponents with the canonical-form
 comparator); undecided entropy comparisons surface as errors rather
@@ -25,7 +31,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 
@@ -40,6 +46,9 @@ RECORD_ATOM_ID = "r"
 MECHANICAL_ATOM_ID = "s_0"
 
 ZERO = ExactEntropy.from_rational(0)
+
+#: A prime factor: an eidostate, or an information state known by its size.
+Prime = Union[Eidostate, InformationState]
 
 
 @dataclass(frozen=True)
@@ -168,64 +177,81 @@ class MacroModel(ModelOracle):
 
     def __init__(self, registry: Optional[MacroRegistry] = None):
         self.registry = registry if registry is not None else MacroRegistry.standard()
-        self._uniform_cache: Dict[Eidostate, bool] = {}
-        self._prime_entropy_cache: Dict[Eidostate, ExactEntropy] = {}
+        #: prime -> (content, entropy) when the prime is uniform, else None.
+        self._prime_cache: Dict[Prime, Optional[Tuple[int, ExactEntropy]]] = {}
 
     # -- decomposition ------------------------------------------------
 
-    def _factor_is_uniform(self, f: Eidostate) -> bool:
-        cached = self._uniform_cache.get(f)
-        if cached is None:
-            if isinstance(f, InformationState):
-                return True
-            cached = self.registry.is_uniform(f)
-            self._uniform_cache[f] = cached
-        return cached
+    def _prime_values(self, prime: Prime) -> Optional[Tuple[int, ExactEntropy]]:
+        """Content and entropy of a uniform prime; None for a non-uniform one."""
+        if isinstance(prime, InformationState):
+            # Content-free, with entropy log2 n (see _information_primes).
+            return 0, ExactEntropy.log2_of_int(prime.n)
+        if not self.registry.is_uniform(prime):
+            return None
+        return self.registry.q_value(prime.members[0]), self.registry.entropy_exact(prime)
 
-    def _split(self, primes: Counter) -> Tuple[Counter, Counter]:
-        """The prime multiset as (non-uniform part, uniform part)."""
+    def _walk(self, parts: FactoredState) -> Tuple[Counter, Counter, int]:
+        """One pass over the primes of a factored product.
+
+        Returns the non-uniform part, the uniform part (both as prime
+        multisets) and the total content of the uniform part.
+        """
+        cache = self._prime_cache
         non_uniform: Counter = Counter()
         uniform: Counter = Counter()
-        for factor, mult in primes.items():
-            (uniform if self._factor_is_uniform(factor) else non_uniform)[factor] += mult
-        return non_uniform, uniform
+        content = 0
+        for factor, mult in parts:
+            if mult == 0:
+                continue
+            if mult < 0:
+                raise ValueError("multiplicities must be nonnegative")
+            if isinstance(factor, InformationState):
+                primes = self._information_primes(factor)
+            else:
+                primes = prime_factors(factor)
+            for prime, count in primes.items():
+                try:
+                    values = cache[prime]
+                except KeyError:
+                    values = cache[prime] = self._prime_values(prime)
+                count *= mult
+                if values is None:
+                    non_uniform[prime] += count
+                else:
+                    uniform[prime] += count
+                    content += values[0] * count
+        if not non_uniform and not uniform:
+            raise ValueError("empty product has no primes")
+        return non_uniform, uniform, content
+
+    def _entropy_total(self, uniform: Counter) -> ExactEntropy:
+        """Total entropy of a nonempty multiset of uniform primes."""
+        total: Optional[ExactEntropy] = None
+        for prime, mult in uniform.items():
+            part = self._prime_cache[prime][1] * mult
+            total = part if total is None else total + part
+        return total
 
     def nu_decompose(self, e: Eidostate) -> NUDecomposition:
-        return NUDecomposition(*self._split(prime_factors(e)))
-
-    def _uniform_entropy(self, f: Eidostate) -> ExactEntropy:
-        cached = self._prime_entropy_cache.get(f)
-        if cached is None:
-            cached = self.registry.entropy_exact(f)
-            self._prime_entropy_cache[f] = cached
-        return cached
-
-    def _uniform_part_values(self, uniform: Counter):
-        """Total content and entropy of a multiset of uniform factors."""
-        q_total = 0
-        s_total: Optional[ExactEntropy] = None
-        for factor, mult in uniform.items():
-            if isinstance(factor, InformationState):
-                # Content-free, with entropy log2 n (see _information_primes).
-                s_part = ExactEntropy.log2_of_int(factor.n) * mult
-            else:
-                q_total += self.registry.q_value(factor.members[0]) * mult
-                s_part = self._uniform_entropy(factor) * mult
-            s_total = s_part if s_total is None else s_total + s_part
-        return q_total, s_total
+        non_uniform, uniform, _ = self._walk(((e, 1),))
+        return NUDecomposition(non_uniform, uniform)
 
     # -- the arrow ----------------------------------------------------
 
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
-        primes_a, primes_b = self._combined_primes(parts_a), self._combined_primes(parts_b)
-        n_a, u_a = self._split(primes_a)
-        n_b, u_b = self._split(primes_b)
+        n_a, u_a, qa = self._walk(parts_a)
+        n_b, u_b, qb = self._walk(parts_b)
         if not self._n_criterion(n_a, n_b):
             return False
-        qa, sa = self._uniform_part_values(u_a) if u_a else (None, None)
-        qb, sb = self._uniform_part_values(u_b) if u_b else (None, None)
-        # Content first: no entropy comparison runs when content fails.
-        return self._q_criterion(qa, qb) and self._s_criterion(sa, sb)
+        # Content first: no entropy is summed or compared when content
+        # fails.  None marks an absent uniform part.
+        if not self._q_criterion(qa if u_a else None, qb if u_b else None):
+            return False
+        return self._s_criterion(
+            self._entropy_total(u_a) if u_a else None,
+            self._entropy_total(u_b) if u_b else None,
+        )
 
     def _n_criterion(self, n_a: Counter, n_b: Counter) -> bool:
         return n_a == n_b
@@ -247,24 +273,6 @@ class MacroModel(ModelOracle):
         if sa is None:
             return compare_entropy(sb, ZERO) is not Comparison.LESS
         return compare_entropy(sa, sb) is not Comparison.GREATER
-
-    def _combined_primes(self, parts: FactoredState) -> Counter:
-        """Prime multiset of a factored product: primes multiply out additively."""
-        total: Counter = Counter()
-        for factor, mult in parts:
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if isinstance(factor, InformationState):
-                primes = self._information_primes(factor)
-            else:
-                primes = prime_factors(factor)
-            for prime, count in primes.items():
-                total[prime] += count * mult
-        if not total:
-            raise ValueError("empty product has no primes")
-        return total
 
     def _information_primes(self, info: InformationState) -> Counter:
         """The primes a size-only information state stands for.
@@ -340,11 +348,9 @@ class MacroModel(ModelOracle):
 
     def information_blocked(self, a: Eidostate, b: Eidostate) -> bool:
         """No information state can help when contents or non-uniform parts differ."""
-        n_a, u_a = self._split(prime_factors(a))
-        n_b, u_b = self._split(prime_factors(b))
-        if n_a != n_b:
-            return True
-        return self._uniform_part_values(u_a)[0] != self._uniform_part_values(u_b)[0]
+        n_a, _, qa = self._walk(((a, 1),))
+        n_b, _, qb = self._walk(((b, 1),))
+        return n_a != n_b or qa != qb
 
     def is_uniform(self, e: Eidostate) -> bool:
         return self.registry.is_uniform(e)

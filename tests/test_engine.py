@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eidothermo.engine import (
     ImpossibleProcessError,
@@ -15,6 +17,7 @@ from eidothermo.engine import (
     MinInfoStatus,
     NotUniformError,
     SearchBoundExceeded,
+    _last_holding,
     adiabatically_accessible,
     classify,
     conditional_probability,
@@ -245,6 +248,27 @@ def test_gibbs_gap_validation(macro):
         gibbs_gap(e, {S0: 1, SH: 0}, macro)
 
 
+class PairwiseUniformMacro(MacroModel):
+    """Macro model answering is_uniform by the generic pairwise-arrow
+    default, counting the calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.uniform_calls = 0
+
+    def is_uniform(self, e):
+        self.uniform_calls += 1
+        return ModelOracle.is_uniform(self, e)
+
+
+def test_gibbs_gap_checks_uniformity_once():
+    model = PairwiseUniformMacro()
+    e = model.make_information_state(8)
+    gap = gibbs_gap(e, {m: Fraction(1, 8) for m in e}, model)
+    assert abs(gap) < 1e-12
+    assert model.uniform_calls == 1
+
+
 def test_irreversibility_reversible_process(macro):
     est = irreversibility_estimate(S0, S0, 16, macro)
     assert est.lower <= 0 <= est.upper
@@ -275,8 +299,9 @@ def test_irreversibility_impossible_pair(macro):
         irreversibility_estimate(R, S1, 4, macro)
 
 
-#: Brackets of the first 12 criterion-7 pairs (draw seed 42, q_max=64) as
-#: computed by the search that built fresh singleton eidostates per arrow.
+#: Brackets of the first 50 criterion-7 pairs (draw seed 42, q_max=64) as
+#: computed by two cold bisections per copy count over the whole search
+#: range.  Every bracket is exact: S(b) - S(a) is a multiple of 1/4.
 CRITERION_7_BRACKETS = [
     (Fraction(5, 4), Fraction(5, 4)),
     (Fraction(-1, 4), Fraction(-1, 4)),
@@ -290,19 +315,176 @@ CRITERION_7_BRACKETS = [
     (Fraction(3, 4), Fraction(3, 4)),
     (Fraction(1, 4), Fraction(1, 4)),
     (Fraction(0), Fraction(0)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-1, 4), Fraction(-1, 4)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-3, 2), Fraction(-3, 2)),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(-1, 4), Fraction(-1, 4)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (Fraction(-1, 4), Fraction(-1, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (Fraction(3, 2), Fraction(3, 2)),
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (Fraction(-3, 2), Fraction(-3, 2)),
 ]
+
+#: Quantum brackets (a, b, q_max, lower, upper) from the same cold search.
+QUANTUM_BRACKETS = [
+    ("q2", "q3", 4, Fraction(1, 2), Fraction(2, 3)),
+    ("q2", "q3", 16, Fraction(7, 12), Fraction(3, 5)),
+    ("q2", "q3", 32, Fraction(7, 12), Fraction(17, 29)),
+    ("q2", "q5", 4, Fraction(5, 4), Fraction(4, 3)),
+    ("q2", "q5", 16, Fraction(21, 16), Fraction(4, 3)),
+    ("q2", "q5", 32, Fraction(37, 28), Fraction(41, 31)),
+]
+
+#: Arrows the cold search made for the first 12 criterion-7 brackets.
+COLD_SEARCH_ARROWS_12 = 12872
+
+
+class CountingMacro(MacroModel):
+    """Macro model counting its arrow_combined calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.arrow_calls = 0
+
+    def arrow_combined(self, parts_a, parts_b):
+        self.arrow_calls += 1
+        return super().arrow_combined(parts_a, parts_b)
+
+
+def _criterion_7_brackets(model, count):
+    rng = random.Random(42)
+    brackets = []
+    for _ in range(count):
+        q = rng.randint(1, 3)
+        a = model.random_state_with_content(rng, q)
+        b = model.random_state_with_content(rng, q)
+        est = irreversibility_estimate(a, b, 64, model)
+        brackets.append((est.lower, est.upper))
+    return brackets
 
 
 def test_irreversibility_brackets_pinned(macro):
-    rng = random.Random(42)
-    brackets = []
-    for _ in CRITERION_7_BRACKETS:
-        q = rng.randint(1, 3)
-        a = macro.random_state_with_content(rng, q)
-        b = macro.random_state_with_content(rng, q)
-        est = irreversibility_estimate(a, b, 64, macro)
-        brackets.append((est.lower, est.upper))
-    assert brackets == CRITERION_7_BRACKETS
+    assert _criterion_7_brackets(macro, 50) == CRITERION_7_BRACKETS
+
+
+def test_irreversibility_quantum_brackets_pinned(quantum):
+    got = [
+        (a, b, q_max, est.lower, est.upper)
+        for a, b, q_max, _, _ in QUANTUM_BRACKETS
+        for est in [irreversibility_estimate(Atom(a), Atom(b), q_max, quantum)]
+    ]
+    assert got == QUANTUM_BRACKETS
+
+
+def test_irreversibility_search_is_warm_started():
+    model = CountingMacro()
+    assert _criterion_7_brackets(model, 12) == CRITERION_7_BRACKETS[:12]
+    assert model.arrow_calls <= COLD_SEARCH_ARROWS_12 // 3, model.arrow_calls
+
+
+def _bisect_last_holding(holds, lo, hi):
+    """Reference: plain bisection for the largest p in [lo, hi) with holds(p)."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_last_holding_matches_bisection(data):
+    lo = data.draw(st.integers(-100, 100), label="lo")
+    hi = lo + data.draw(st.integers(1, 300), label="width")
+    threshold = data.draw(
+        st.one_of(st.just(lo), st.just(hi - 1), st.integers(lo, hi - 1)),
+        label="threshold",
+    )
+    guess = data.draw(
+        st.one_of(
+            st.integers(threshold - 1, threshold + 1),
+            st.integers(lo - 50, hi + 50),
+            st.sampled_from([lo, hi - 1, hi, 0]),
+        ),
+        label="guess",
+    )
+    probed = []
+
+    def holds(p):
+        # Neither endpoint is evaluated: holds(lo) and not holds(hi) are given.
+        assert lo < p < hi, p
+        probed.append(p)
+        return p <= threshold
+
+    got = _last_holding(holds, lo, hi, guess)
+    assert got == _bisect_last_holding(lambda p: p <= threshold, lo, hi) == threshold
+    assert len(probed) == len(set(probed))
+    if guess in (threshold, threshold + 1) and lo < guess < hi:
+        assert len(probed) <= 2
+
+
+class SearchStub(MacroModel):
+    """Macro model whose search arrows starting from ``side`` fail for
+    every copy count from ``from_q`` on: a forward relation that fails at
+    the search floor (side a) or a backward one that fails at the
+    search ceiling (side b)."""
+
+    def __init__(self, side, from_q):
+        super().__init__()
+        self.side = singleton(side)
+        self.from_q = from_q
+
+    def arrow_combined(self, parts_a, parts_b):
+        (first, q), *rest = parts_a
+        if rest and first == self.side and q >= self.from_q:
+            return False
+        return super().arrow_combined(parts_a, parts_b)
+
+
+@pytest.mark.parametrize("from_q", [1, 3])
+def test_irreversibility_forward_fails_at_floor(from_q):
+    with pytest.raises(ImpossibleProcessError) as info:
+        irreversibility_estimate(S0, S1, 8, SearchStub(S0, from_q))
+    assert str(info.value) == f"forward relation failed at the search floor for q={from_q}"
+
+
+@pytest.mark.parametrize("from_q", [1, 3])
+def test_irreversibility_backward_fails_at_ceiling(from_q):
+    with pytest.raises(ImpossibleProcessError) as info:
+        irreversibility_estimate(S0, S1, 8, SearchStub(S1, from_q))
+    assert str(info.value) == f"backward relation failed at the search ceiling for q={from_q}"
 
 
 def test_irreversibility_quantum(quantum):

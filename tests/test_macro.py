@@ -12,7 +12,13 @@ from eidothermo.macro import (
     MacroRegistry,
     s_atom_id,
 )
-from eidothermo.oracle import expand_factored
+from eidothermo.harness import (
+    MutantDropContentCriterion,
+    MutantDropNonUniformCriterion,
+    MutantFlippedEntropyOrder,
+    MutantWeightedRecords,
+)
+from eidothermo.oracle import InformationState, expand_factored
 from eidothermo.states import Atom, Eidostate, Pair, combine, singleton
 
 R = Atom("r")
@@ -234,6 +240,40 @@ def test_arrow_combined_matches_expansion(model):
         assert got == want
 
 
+MACRO_SUBCLASSES = [
+    MacroModel,
+    MutantDropContentCriterion,
+    MutantFlippedEntropyOrder,
+    MutantDropNonUniformCriterion,
+    MutantWeightedRecords,
+]
+
+
+@pytest.mark.parametrize("model_cls", MACRO_SUBCLASSES, ids=lambda cls: cls.name)
+def test_arrow_combined_matches_expansion_on_every_subclass(model_cls):
+    # The one-pass walk feeds the criterion methods the mutants override;
+    # size-only information states expand to make_information_state(n).
+    model = model_cls()
+    rng = random.Random(14)
+    outcomes = set()
+    for _ in range(40):
+        a = model.random_eidostate(rng, 3, 3)
+        b = a if rng.random() < 0.5 else model.random_eidostate(rng, 3, 3)
+        c = model.random_eidostate(rng, 2, 2)
+        k = rng.randint(0, 2)
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        i, j = rng.randint(0, 1), rng.randint(0, 1)
+        sized_a = [(a, 1), (c, k), (InformationState(n), i)]
+        sized_b = [(b, 1), (c, k), (InformationState(m), j)]
+        built_a = [(a, 1), (c, k), (model.make_information_state(n), i)]
+        built_b = [(b, 1), (c, k), (model.make_information_state(m), j)]
+        want = model.arrow(expand_factored(built_a), expand_factored(built_b))
+        assert model.arrow_combined(built_a, built_b) == want, (a, b, c, k)
+        assert model.arrow_combined(sized_a, sized_b) == want, (a, b, c, k, n, m, i, j)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_information_blocked_cases(model):
     assert model.information_blocked(singleton(R), singleton(S1))
     assert not model.information_blocked(singleton(S1), singleton(S0))
@@ -251,6 +291,34 @@ def test_information_blocked_matches_search(model):
             for n in (1, 2, 4, 64, 1024)
         )
         assert blocked == (not helped)
+
+
+@pytest.mark.parametrize("model_cls", [MacroModel, MutantWeightedRecords],
+                         ids=lambda cls: cls.name)
+def test_information_blocked_sums_no_entropy(model_cls, monkeypatch):
+    # Blocking depends on contents and non-uniform parts only, so no
+    # entropy is added or multiplied, however many exponents it carries.
+    reference = model_cls()
+    rng = random.Random(15)
+    cases = [
+        (singleton(R), singleton(S1)),
+        (reference.make_information_state(5), reference.make_information_state(3)),
+        (combine(reference.make_information_state(6), singleton(SH)), singleton(S1)),
+    ]
+    cases += [
+        (reference.random_eidostate(rng, 4, 3), reference.random_eidostate(rng, 4, 3))
+        for _ in range(30)
+    ]
+    want = [reference.information_blocked(a, b) for a, b in cases]
+
+    def forbidden(*args):
+        raise AssertionError("information_blocked computed an entropy")
+
+    for attr in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ExactEntropy, attr, forbidden)
+    model = model_cls(reference.registry)
+    assert [model.information_blocked(a, b) for a, b in cases] == want
+    assert set(want) == {True, False}
 
 
 def test_random_uniform_eidostate_is_uniform(model):
