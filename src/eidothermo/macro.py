@@ -7,8 +7,9 @@ decided on their prime factorizations.  ``MacroModel._walk`` makes one
 pass over each side's (factor, multiplicity) list and its primes: it
 builds the non-uniform part, collects the uniform primes and sums their
 content, reading each prime's (content, entropy), or None for a
-non-uniform prime, from one per-model cache.  The arrow holds when three
-criteria do, each one method:
+non-uniform prime, from one per-model cache, and carries each uniform
+prime's entropy out with it.  The arrow holds when three criteria do,
+each one method:
 
 * ``_n_criterion``: the non-uniform parts are identical multisets;
 * ``_q_criterion``: both uniform parts absent, or only one present with
@@ -20,9 +21,8 @@ criteria do, each one method:
 The entropy totals of the uniform parts are summed only once the first
 two criteria have passed.
 
-All comparisons are exact (rational exponents with the canonical-form
-comparator); undecided entropy comparisons surface as errors rather
-than guesses.
+All comparisons are exact (``exact.compare_entropy``); undecided
+entropy comparisons surface as errors rather than guesses.
 """
 
 from __future__ import annotations
@@ -191,15 +191,20 @@ class MacroModel(ModelOracle):
             return None
         return self.registry.q_value(prime.members[0]), self.registry.entropy_exact(prime)
 
-    def _walk(self, parts: FactoredState) -> Tuple[Counter, Counter, int]:
+    def _walk(
+        self, parts: FactoredState
+    ) -> Tuple[Counter, Counter, int, Dict[Prime, ExactEntropy]]:
         """One pass over the primes of a factored product.
 
         Returns the non-uniform part, the uniform part (both as prime
-        multisets) and the total content of the uniform part.
+        multisets), the total content of the uniform part and the
+        entropy of each uniform prime, keyed by the same prime objects
+        as the uniform part so that summing needs no cache lookup.
         """
         cache = self._prime_cache
         non_uniform: Counter = Counter()
         uniform: Counter = Counter()
+        entropies: Dict[Prime, ExactEntropy] = {}
         content = 0
         for factor, mult in parts:
             if mult == 0:
@@ -220,28 +225,30 @@ class MacroModel(ModelOracle):
                     non_uniform[prime] += count
                 else:
                     uniform[prime] += count
+                    entropies[prime] = values[1]
                     content += values[0] * count
         if not non_uniform and not uniform:
             raise ValueError("empty product has no primes")
-        return non_uniform, uniform, content
+        return non_uniform, uniform, content, entropies
 
-    def _entropy_total(self, uniform: Counter) -> ExactEntropy:
+    @staticmethod
+    def _entropy_total(uniform: Counter, entropies: Dict[Prime, ExactEntropy]) -> ExactEntropy:
         """Total entropy of a nonempty multiset of uniform primes."""
         total: Optional[ExactEntropy] = None
         for prime, mult in uniform.items():
-            part = self._prime_cache[prime][1] * mult
+            part = entropies[prime] * mult
             total = part if total is None else total + part
         return total
 
     def nu_decompose(self, e: Eidostate) -> NUDecomposition:
-        non_uniform, uniform, _ = self._walk(((e, 1),))
+        non_uniform, uniform, _, _ = self._walk(((e, 1),))
         return NUDecomposition(non_uniform, uniform)
 
     # -- the arrow ----------------------------------------------------
 
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
-        n_a, u_a, qa = self._walk(parts_a)
-        n_b, u_b, qb = self._walk(parts_b)
+        n_a, u_a, qa, s_a = self._walk(parts_a)
+        n_b, u_b, qb, s_b = self._walk(parts_b)
         if not self._n_criterion(n_a, n_b):
             return False
         # Content first: no entropy is summed or compared when content
@@ -249,8 +256,8 @@ class MacroModel(ModelOracle):
         if not self._q_criterion(qa if u_a else None, qb if u_b else None):
             return False
         return self._s_criterion(
-            self._entropy_total(u_a) if u_a else None,
-            self._entropy_total(u_b) if u_b else None,
+            self._entropy_total(u_a, s_a) if u_a else None,
+            self._entropy_total(u_b, s_b) if u_b else None,
         )
 
     def _n_criterion(self, n_a: Counter, n_b: Counter) -> bool:
@@ -348,8 +355,8 @@ class MacroModel(ModelOracle):
 
     def information_blocked(self, a: Eidostate, b: Eidostate) -> bool:
         """No information state can help when contents or non-uniform parts differ."""
-        n_a, _, qa = self._walk(((a, 1),))
-        n_b, _, qb = self._walk(((b, 1),))
+        n_a, _, qa, _ = self._walk(((a, 1),))
+        n_b, _, qb, _ = self._walk(((b, 1),))
         return n_a != n_b or qa != qb
 
     def is_uniform(self, e: Eidostate) -> bool:

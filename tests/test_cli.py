@@ -357,6 +357,16 @@ def test_demon_huge_nmax(capsys, szilard):
     assert out == "minimal information-state size: 1\n"
 
 
+def test_demon_nmax_ten_to_the_300(capsys, szilard):
+    # Every entropy compared in this search lies at residue 0, so each
+    # comparison is an exact integer one.
+    code, out, _ = run_cli(
+        capsys, "demon", "--scenario", szilard, "r", "Ib", "--nmax", str(10**300),
+    )
+    assert code == 0
+    assert out == "minimal information-state size: 1\n"
+
+
 def test_cli_import_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",

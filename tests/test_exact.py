@@ -1,12 +1,17 @@
 """Tests for exact entropy values and the interval comparator."""
 
 import decimal
+import hashlib
+from bisect import insort
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
+from eidothermo import exact
 from eidothermo.exact import (
     MAX_BITS_ENV_VAR,
     Comparison,
@@ -162,19 +167,56 @@ def test_rational_values_always_decided(monkeypatch):
     assert compare_entropy(x, y) is Comparison.LESS
 
 
+def _pell_near_tie():
+    """log2 p against log2 q + 1/2 for the first convergent p/q of sqrt 2
+    with p >= 2^199: p^2 - 2q^2 = 1, so the values differ by about 2^-400."""
+    p, q = 1, 1
+    while p < 2**199:
+        p, q = p + 2 * q, p + q
+    return ExactEntropy.log2_of_int(p), ExactEntropy.log2_of_int(q) + Fraction(1, 2)
+
+
 def test_precision_exhausted_on_tiny_gap(monkeypatch):
     monkeypatch.setenv(MAX_BITS_ENV_VAR, "128")
-    x = ExactEntropy([0, 1])
-    y = ExactEntropy([0, 1, Fraction(-300)])
+    x, y = _pell_near_tie()
     with pytest.raises(PrecisionExhausted):
         compare_entropy(x, y)
 
 
 def test_wider_cap_resolves_tiny_gap(monkeypatch):
     monkeypatch.setenv(MAX_BITS_ENV_VAR, "512")
+    x, y = _pell_near_tie()
+    assert compare_entropy(x, y) is Comparison.GREATER
+    assert compare_entropy(y, x) is Comparison.LESS
+
+
+def test_gap_at_residue_zero_is_exact(monkeypatch):
+    # Both values lie at residue 0 and differ by 2^-300 in their powers:
+    # the difference is an exact rational, decided at any cap.
+    monkeypatch.setenv(MAX_BITS_ENV_VAR, "128")
     x = ExactEntropy([0, 1])
     y = ExactEntropy([0, 1, Fraction(-300)])
     assert compare_entropy(x, y) is Comparison.LESS
+
+
+def test_integer_logs_compare_without_intervals(monkeypatch):
+    def no_intervals(bits):
+        raise AssertionError("an interval was evaluated")
+
+    exact._pow2_bounds.cache_clear()
+    monkeypatch.setattr(exact, "_context", no_intervals)
+    x = ExactEntropy.log2_of_int(10**300)
+    y = ExactEntropy.log2_of_int(10**300 + 1)
+    assert compare_entropy(x, y) is Comparison.LESS
+    assert compare_entropy(y + Fraction(1, 3), x + Fraction(1, 3)) is Comparison.GREATER
+
+
+def test_multiple_of_three_residues():
+    # Double-and-add over pairwise exponent sums took about a second here.
+    value = ExactEntropy([0, Fraction(1, 3), Fraction(7, 2)]) * 32
+    assert len(value.exponents) == 324
+    digest = hashlib.sha256(repr(value).encode()).hexdigest()
+    assert digest == "4951c3e8a22331ca0faf5662c55523204eaa54c854e6ca95ae70391ac4a7d31e"
 
 
 def test_max_bits_env_validation(monkeypatch):
@@ -201,57 +243,205 @@ def test_immutability():
         e._exponents = ()
 
 
-# -- rational closed forms against the general path ---------------------
+# -- differential tests against the exponent-multiset reference ---------
+#
+# The reference is the representation this module used before coefficient
+# forms, as plain functions on tuples of Fractions: canonical exponent
+# tuples built by sorting and merging equal pairs upward, sums as all
+# pairwise exponent sums, multiples by double-and-add, and comparisons by
+# one interval power of two per exponent and a logarithm.
 
-wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+def ref_canonical(exponents):
+    items = sorted(Fraction(x) for x in exponents)
+    i = 0
+    while i < len(items) - 1:
+        if items[i] == items[i + 1]:
+            merged = items[i] + 1
+            del items[i : i + 2]
+            insort(items, merged)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(items)
 
 
-def _reference_add(x, y):
-    """The general sum: every pairwise exponent sum, canonicalized."""
-    return ExactEntropy(a + b for a in x.exponents for b in y.exponents)
+def ref_add(xs, ys):
+    return ref_canonical(a + b for a in xs for b in ys)
 
 
-def _reference_mul(x, n):
-    """n * x by double-and-add over the general sum."""
+def ref_shift(xs, q):
+    return ref_canonical(x + q for x in xs)
+
+
+def ref_mul(xs, n):
     result = None
-    power = x
+    power = xs
     while n:
         if n & 1:
-            result = power if result is None else _reference_add(result, power)
+            result = power if result is None else ref_add(result, power)
         n >>= 1
         if n:
-            power = _reference_add(power, power)
+            power = ref_add(power, power)
     return result
 
 
-def _assert_same(got, want):
-    assert got == want
-    assert got.exponents == want.exponents
+def ref_sum_of_powers(parts):
+    return ref_canonical(x for xs in parts for x in xs)
+
+
+def _ref_log2(bits, xs):
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    total = ctx.mpf(0)
+    for x in xs:
+        total += ctx.mpf(2) ** (ctx.mpf(x.numerator) / ctx.mpf(x.denominator))
+    return ctx.log(total) / ctx.log(2)
+
+
+def ref_compare(xs, ys, cap=4096):
+    """-1, 0 or 1; None when the intervals still overlap at the cap."""
+    if xs == ys:
+        return 0
+    if len(xs) == 1 and len(ys) == 1:
+        return -1 if xs[0] < ys[0] else 1
+    bits = 128
+    while True:
+        ix, iy = _ref_log2(bits, xs), _ref_log2(bits, ys)
+        if ix.b < iy.a:
+            return -1
+        if iy.b < ix.a:
+            return 1
+        if bits >= cap:
+            return None
+        bits = min(2 * bits, cap)
+
+
+def ref_decimal(xs, digits=30):
+    bits = 128
+    while True:
+        box = _ref_log2(bits, xs)
+        with mpmath.workprec(bits):
+            lo, hi = mpmath.mpf(box.a), mpmath.mpf(box.b)
+            scale = max(abs(lo), abs(hi), mpmath.mpf(1))
+            if hi - lo <= scale * mpmath.mpf(10) ** (-(digits + 5)):
+                return mpmath.nstr((lo + hi) / 2, digits, strip_zeros=False)
+        bits *= 2
+
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+exponent_lists = st.lists(rationals, min_size=1, max_size=5)
+
+
+def _assert_same(got, want_exponents):
+    """got is the value whose canonical exponent tuple is want_exponents."""
+    assert got.exponents == want_exponents
     assert all(type(e) is Fraction for e in got.exponents)
-    assert hash(got) == hash(want)
+    assert got == ExactEntropy(want_exponents)
+    assert hash(got) == hash(want_exponents)
+    assert got.is_rational == (len(want_exponents) == 1)
+    assert str(got) == "log2(" + " + ".join(f"2^{x}" for x in want_exponents) + ")"
+    assert repr(got) == f"ExactEntropy([{', '.join(str(x) for x in want_exponents)}])"
+
+
+@given(exponent_lists)
+def test_constructor_matches_reference(xs):
+    _assert_same(ExactEntropy(xs), ref_canonical(xs))
 
 
 @given(wide_rationals, wide_rationals)
 def test_rational_sum_closed_form(x, y):
     got = ExactEntropy([x]) + ExactEntropy([y])
-    _assert_same(got, ExactEntropy([x + y]))
-    _assert_same(got, _reference_add(ExactEntropy([x]), ExactEntropy([y])))
+    assert got.is_rational and got.as_fraction() == x + y
+    _assert_same(got, ref_add((x,), (y,)))
 
 
 @given(wide_rationals, st.integers(1, 200))
 def test_rational_multiple_closed_form(x, n):
     value = ExactEntropy([x])
-    _assert_same(value * n, ExactEntropy([n * x]))
-    _assert_same(n * value, _reference_mul(value, n))
+    assert (value * n).as_fraction() == n * x
+    _assert_same(n * value, ref_mul((x,), n))
 
 
-@given(values(), values())
+@given(exponent_lists, exponent_lists)
 @settings(max_examples=80)
-def test_general_sum_matches_reference(x, y):
-    _assert_same(x + y, _reference_add(x, y))
+def test_general_sum_matches_reference(xs, ys):
+    _assert_same(ExactEntropy(xs) + ExactEntropy(ys), ref_add(ref_canonical(xs), ref_canonical(ys)))
 
 
-@given(values(max_terms=3), st.integers(1, 12))
+@given(exponent_lists, wide_rationals)
+@settings(max_examples=80)
+def test_rational_shift_matches_reference(xs, q):
+    want = ref_shift(ref_canonical(xs), q)
+    _assert_same(ExactEntropy(xs) + q, want)
+    _assert_same(q + ExactEntropy(xs), want)
+    _assert_same(ExactEntropy(xs) + ExactEntropy.from_rational(q), want)
+
+
+@given(st.lists(rationals, min_size=1, max_size=3), st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
-def test_general_multiple_matches_reference(x, n):
-    _assert_same(x * n, _reference_mul(x, n))
+def test_general_multiple_matches_reference(xs, n):
+    value = ExactEntropy(xs)
+    want = ref_mul(ref_canonical(xs), n)
+    _assert_same(value * n, want)
+    _assert_same(n * value, want)
+
+
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                min_size=1, max_size=3),
+       st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_multiple_matches_repeated_addition(xs, n):
+    value = ExactEntropy(xs)
+    total = value
+    for _ in range(n - 1):
+        total = total + value
+    assert value * n == total
+    assert n * value == total
+
+
+@given(st.lists(exponent_lists, min_size=1, max_size=4))
+def test_sum_of_powers_matches_reference(parts):
+    canon = [ref_canonical(xs) for xs in parts]
+    got = ExactEntropy.log2_sum_of_powers(ExactEntropy(xs) for xs in parts)
+    _assert_same(got, ref_sum_of_powers(canon))
+
+
+@given(st.integers(1, 2**80), st.integers(1, 2**80))
+def test_log2_of_int_matches_reference(m, n):
+    want = ref_canonical(i for i in range(m.bit_length()) if m >> i & 1)
+    _assert_same(ExactEntropy.log2_of_int(m), want)
+    assert compare_entropy(ExactEntropy.log2_of_int(m), ExactEntropy.log2_of_int(n)).value == (
+        (m > n) - (m < n))
+
+
+@given(exponent_lists, exponent_lists)
+@settings(max_examples=150)
+def test_compare_matches_reference(xs, ys):
+    want = ref_compare(ref_canonical(xs), ref_canonical(ys))
+    assert compare_entropy(ExactEntropy(xs), ExactEntropy(ys)).value == want
+
+
+@given(exponent_lists, st.lists(rationals, min_size=0, max_size=3), exponent_lists)
+@settings(max_examples=80)
+def test_compare_shared_terms_matches_reference(common, extra, other):
+    # Values sharing most terms: their difference cancels residue by residue.
+    xs, ys = common + extra, common + other
+    want = ref_compare(ref_canonical(xs), ref_canonical(ys))
+    assert compare_entropy(ExactEntropy(xs), ExactEntropy(ys)).value == want
+
+
+@given(exponent_lists, exponent_lists)
+@settings(max_examples=80)
+def test_equality_matches_reference(xs, ys):
+    x, y = ExactEntropy(xs), ExactEntropy(ys)
+    same = ref_canonical(xs) == ref_canonical(ys)
+    assert (x == y) is same
+    assert (compare_entropy(x, y) is Comparison.EQUAL) is same
+    if same:
+        assert hash(x) == hash(y)
+
+
+@given(exponent_lists)
+@settings(max_examples=40, deadline=None)
+def test_decimal_matches_reference(xs):
+    assert ExactEntropy(xs).decimal(30) == ref_decimal(ref_canonical(xs), 30)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eidothermo import engine, states
 from eidothermo.exact import Comparison, ExactEntropy, compare_entropy
 from eidothermo.macro import (
     AtomDef,
@@ -344,3 +345,31 @@ def test_entropy_comparison_irrational_vs_rational(model):
     three = model.registry.entropy_exact(Eidostate([S0, S1]))
     assert compare_entropy(three, ExactEntropy.from_rational(Fraction(3, 2))) is Comparison.GREATER
     assert compare_entropy(three, ExactEntropy.from_rational(Fraction(8, 5))) is Comparison.LESS
+
+
+def test_entropy_total_needs_no_prime_lookups(monkeypatch):
+    """Each uniform prime's entropy comes out of the walk with it, so
+    summing entropies compares no eidostates.  One warm cycle over the
+    12 pairs of the criterion-7 draw made 46,333 Eidostate comparisons
+    when the sum looked every prime up again in the prime cache; the
+    cache lookups of the walk itself make the 28,601 left."""
+    model = MacroModel()
+    draw = random.Random(42)
+    pairs = []
+    for _ in range(12):
+        q = draw.randint(1, 3)
+        pairs.append((model.random_state_with_content(draw, q),
+                      model.random_state_with_content(draw, q)))
+    for a, b in pairs:
+        engine.irreversibility_estimate(a, b, 64, model)
+    calls = [0]
+    original = states.Eidostate.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(states.Eidostate, "__eq__", counted)
+    for a, b in pairs:
+        engine.irreversibility_estimate(a, b, 64, model)
+    assert calls[0] <= 28_601
