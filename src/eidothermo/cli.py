@@ -76,8 +76,8 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _mpf_decimal(value, bits: int = DEFAULT_BITS) -> str:
-    with mpmath.workprec(bits):
+def _mpf_decimal(value) -> str:
+    with mpmath.workprec(DEFAULT_BITS):
         return mpmath.nstr(value, PROBABILITY_DIGITS, strip_zeros=False)
 
 
@@ -137,14 +137,14 @@ def _cmd_prob_report(args, sc: Scenario) -> CommandOutput:
     probabilities = {}
     text = []
     for m in e:
-        decimal = _mpf_decimal(report.support[m], report.bits)
+        decimal = _mpf_decimal(report.support[m])
         probabilities[names[m]] = decimal
         text.append(f"P({names[m]} | {args.e}) = {decimal}")
     summary = {
-        "mean state entropy": _mpf_decimal(report.mean_state_entropy, report.bits),
-        "shannon information": _mpf_decimal(report.shannon_term, report.bits),
-        "total entropy": _mpf_decimal(report.entropy_total, report.bits),
-        "residual": _mpf_decimal(report.residual(), report.bits),
+        "mean state entropy": _mpf_decimal(report.mean_state_entropy),
+        "shannon information": _mpf_decimal(report.shannon_term),
+        "total entropy": _mpf_decimal(report.entropy_total),
+        "residual": _mpf_decimal(report.residual()),
     }
     text.extend(f"{label}: {value}" for label, value in summary.items())
     return CommandOutput(

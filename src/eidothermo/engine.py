@@ -7,6 +7,10 @@ estimator, demon planning (minimum information to enable a
 transformation), Landauer and information-balance checks, process
 algebra, and adiabatic accessibility.
 
+Probabilities, decompositions, the Gibbs gap and the Landauer margin
+are mpmath numbers at a fixed DEFAULT_BITS (128) of working precision;
+the Landauer and information-balance verdicts are exact comparisons.
+
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
 as independent cross-checks in the tests.  For each copy count q it runs
@@ -102,11 +106,9 @@ def _weights(members: Sequence[StateExpr], oracle: ModelOracle) -> list:
     return [_power_sum(oracle.state_entropy(m)) for m in members]
 
 
-def entropic_probability(
-    a: StateExpr, e: Eidostate, oracle: ModelOracle, bits: int = DEFAULT_BITS
-):
+def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle):
     """P(a | e) = 2^(S(a) - S(e)) for members, 0 otherwise."""
-    return conditional_probability((a,), e.members, e, oracle, bits)
+    return conditional_probability((a,), e.members, e, oracle)
 
 
 def conditional_probability(
@@ -114,7 +116,6 @@ def conditional_probability(
     a: Iterable[StateExpr],
     e: Eidostate,
     oracle: ModelOracle,
-    bits: int = DEFAULT_BITS,
 ):
     """P(b | a within e), with empty sets carrying probability zero.
 
@@ -127,7 +128,7 @@ def conditional_probability(
     given = [m for m in e.members if m in set_a]
     if not given:
         raise ValueError("conditioning set does not meet the eidostate")
-    with mpmath.workprec(bits):
+    with mpmath.workprec(DEFAULT_BITS):
         weights = _weights(given, oracle)
         numer = sum((w for m, w in zip(given, weights) if m in set_b), mpmath.mpf(0))
         return numer / sum(weights, mpmath.mpf(0))
@@ -142,31 +143,28 @@ class ProbabilityReport:
     entropy_total: object
     mean_state_entropy: object
     shannon_term: object
-    bits: int
 
     def residual(self):
-        with mpmath.workprec(self.bits):
+        with mpmath.workprec(DEFAULT_BITS):
             return abs(
                 self.entropy_total - (self.mean_state_entropy + self.shannon_term)
             )
 
 
-def shannon_decomposition(
-    e: Eidostate, oracle: ModelOracle, bits: int = DEFAULT_BITS
-) -> ProbabilityReport:
-    """Probabilities plus the identity S(E) = <S> + H evaluated at the
-    given working precision."""
+def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
+    """Probabilities plus the identity S(E) = <S> + H evaluated at
+    DEFAULT_BITS of working precision."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     members = e.members
-    with mpmath.workprec(bits):
+    with mpmath.workprec(DEFAULT_BITS):
         weights = _weights(members, oracle)
         total_weight = sum(weights, mpmath.mpf(0))
         support = {m: w / total_weight for m, w in zip(members, weights)}
         mean = mpmath.mpf(0)
         shannon = mpmath.mpf(0)
         for m, p in support.items():
-            mean += p * entropy_mpf(oracle.state_entropy(m), bits)
+            mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
             if p > 0:
                 shannon -= p * mpmath.log(p, 2)
         total = mpmath.log(total_weight, 2)
@@ -175,7 +173,6 @@ def shannon_decomposition(
         entropy_total=total,
         mean_state_entropy=mean,
         shannon_term=shannon,
-        bits=bits,
     )
 
 
@@ -183,7 +180,6 @@ def gibbs_gap(
     e: Eidostate,
     distribution: Mapping[StateExpr, object],
     oracle: ModelOracle,
-    bits: int = DEFAULT_BITS,
 ):
     """S(E) minus the decomposition value under an arbitrary distribution.
 
@@ -193,7 +189,7 @@ def gibbs_gap(
     members = set(e.members)
     if not set(distribution) <= members:
         raise ValueError("distribution assigns weight outside the eidostate")
-    with mpmath.workprec(bits):
+    with mpmath.workprec(DEFAULT_BITS):
         probs = {m: _to_mpf(distribution.get(m, 0)) for m in e}
         total = mpmath.mpf(0)
         for p in probs.values():
@@ -206,9 +202,9 @@ def gibbs_gap(
         shannon = mpmath.mpf(0)
         for m, p in probs.items():
             if p > 0:
-                mean += p * entropy_mpf(oracle.state_entropy(m), bits)
+                mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
                 shannon -= p * mpmath.log(p, 2)
-        return entropy_mpf(entropy, bits) - (mean + shannon)
+        return entropy_mpf(entropy, DEFAULT_BITS) - (mean + shannon)
 
 
 # -- irreversibility --------------------------------------------------
@@ -434,9 +430,7 @@ class LandauerVerdict:
     margin_decimal: Optional[str]
 
 
-def landauer_check(
-    a: StateExpr, b: StateExpr, oracle: ModelOracle, bits: int = DEFAULT_BITS
-) -> LandauerVerdict:
+def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerVerdict:
     """If a plus a bit state reaches b, the entropy of b must exceed that
     of a by at least one unit; reports the margin."""
     bit = oracle.make_bit_state()
@@ -450,8 +444,8 @@ def landauer_check(
     margin_exact = None
     if ea.is_rational and eb.is_rational:
         margin_exact = eb.as_fraction() - ea.as_fraction() - 1
-    with mpmath.workprec(bits):
-        margin = entropy_mpf(eb, bits) - entropy_mpf(ea, bits) - 1
+    with mpmath.workprec(DEFAULT_BITS):
+        margin = entropy_mpf(eb, DEFAULT_BITS) - entropy_mpf(ea, DEFAULT_BITS) - 1
         margin_decimal = mpmath.nstr(margin, PROBABILITY_DIGITS, strip_zeros=False)
     return LandauerVerdict(True, satisfied, margin_exact, margin_decimal)
 
@@ -466,22 +460,21 @@ class InfoBalanceVerdict:
     slack: object
 
 
-def info_balance_check(
-    a: Eidostate, b: Eidostate, oracle: ModelOracle, bits: int = DEFAULT_BITS
-) -> InfoBalanceVerdict:
+def info_balance_check(a: Eidostate, b: Eidostate, oracle: ModelOracle) -> InfoBalanceVerdict:
     """Any decrease in Shannon information along a natural process is
-    paid for by a rise in mean state entropy."""
+    paid for by a rise in mean state entropy: the slack is S(B) - S(A)."""
     if not oracle.arrow(a, b):
         raise ImpossibleProcessError("the process is not natural")
-    report_a = shannon_decomposition(a, oracle, bits)
-    report_b = shannon_decomposition(b, oracle, bits)
-    with mpmath.workprec(bits):
+    entropy_a = entropy_uniform(a, oracle)
+    entropy_b = entropy_uniform(b, oracle)
+    report_a = shannon_decomposition(a, oracle)
+    report_b = shannon_decomposition(b, oracle)
+    with mpmath.workprec(DEFAULT_BITS):
         delta_mean = report_b.mean_state_entropy - report_a.mean_state_entropy
         delta_shannon = report_b.shannon_term - report_a.shannon_term
         slack = delta_mean + delta_shannon
-        satisfied = slack >= -mpmath.mpf(10) ** -9
     return InfoBalanceVerdict(
-        satisfied=bool(satisfied),
+        satisfied=compare_entropy(entropy_b, entropy_a) is not Comparison.LESS,
         delta_mean=delta_mean,
         delta_shannon=delta_shannon,
         slack=slack,

@@ -12,8 +12,7 @@ distinct exponents in [0, 1) are linearly independent over the
 rationals.  The canonical exponent multiset of the value, in which no
 exponent repeats because the pair ``x, x`` merges to ``x + 1``, is the
 set bits of each N_f, which is binary carrying within one residue; it
-is built on demand for ``exponents``, ``str``, ``repr`` and the
-interval evaluation.
+is built on demand for ``exponents``, ``str``, ``repr`` and ``hash``.
 
 A value is rational exactly when it has one residue whose coefficient
 is a power of two.  A rational value is stored as one ``Fraction``, and
@@ -24,15 +23,19 @@ a carry into the next power of two when two residues add past 1; an
 integer multiple is a power by squaring; ``log2_sum_of_powers`` adds
 coefficients.
 
-A comparison subtracts the coefficients residue by residue, so shared
-terms cancel exactly.  A difference whose coefficients all have one
-sign, such as one left only at residue 0, decides the comparison
-outright, as every 2^f is positive.  Otherwise the sign of
-sum c_f * 2^f is bounded with one integer enclosure of 2^f per residue
-(memoized by precision and residue) at escalating precision: 128 bits
-doubling up to a cap, default 4096, overridable via the
-``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at the
-cap raises ``PrecisionExhausted`` rather than guessing.
+Every numeric reading of a value goes through one enclosure: integers
+lo <= 2^bits * sum c_f * 2^f <= hi for signed coefficients c_f, built
+from one memoized integer enclosure of 2^f per residue.  A comparison
+subtracts the coefficients residue by residue, so shared terms cancel
+exactly, and a difference whose coefficients all have one sign, such as
+one left only at residue 0, is decided outright, as every 2^f is
+positive.  Otherwise the sign is read from the enclosure at escalating
+precision: 128 bits doubling up to a cap, default 4096, overridable via
+the ``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at
+the cap raises ``PrecisionExhausted`` rather than guessing.  ``floor``
+is one such comparison against an integer; ``interval`` is one
+logarithm of the enclosure of 2^value, and decimals and floats are read
+from it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -139,6 +142,13 @@ def _product(a, b):
                 m <<= 1
             coeffs[r] = coeffs.get(r, 0) + m
     return d, sa + sb, coeffs
+
+
+def _magnitude(s: int, terms) -> int:
+    """The k with 2^value in [2^(k - 1), 2^(k + 1)) for a form with shift
+    s: k - s is the bit length of the coefficient sum, as each 2^f is in
+    [1, 2)."""
+    return s + sum(m for _, m in terms).bit_length()
 
 
 def _sum_of_powers(forms: list):
@@ -308,18 +318,33 @@ class ExactEntropy:
     def __ge__(self, other) -> bool:
         return self.compare(other) is not Comparison.LESS
 
+    def floor(self) -> int:
+        """The largest integer not above the value, decided exactly."""
+        v = self._v
+        if type(v) is Fraction:
+            return v.numerator // v.denominator
+        # The value lies in [k - 1, k + 1) and, not being rational, is
+        # no integer: one comparison with k decides.
+        _, s, terms = _form(v)
+        k = _magnitude(s, terms)
+        if compare_entropy(self, _new(Fraction(k))) is Comparison.LESS:
+            return k - 1
+        return k
+
     def interval(self, bits: int):
-        """Enclosing interval of the value at the given working precision."""
-        return _interval_value(_context(bits), self.exponents)
+        """Enclosing interval of the value at the given working precision:
+        the log of the enclosure of 2^value."""
+        d, s, terms = _form(self._v)
+        ctx = _context(bits)
+        total = ctx.mpf(_enclosure(bits, d, terms)) * ctx.mpf(2) ** (s - bits)
+        return ctx.log(total) / ctx.log(2)
 
     def decimal(self, digits: int = 30) -> str:
         """The value as a decimal string with the given significant digits."""
         return decimal_of(self, digits)
 
     def __float__(self) -> float:
-        box = self.interval(64)
-        with mpmath.workprec(64):
-            return float((mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2)
+        return float(entropy_mpf(self, 64))
 
 
 #: Writes the ``_v`` slot past the immutability guard of ``__setattr__``.
@@ -340,20 +365,6 @@ def _context(bits: int):
     return ctx
 
 
-def _interval_pow2(ctx, exponent: Fraction):
-    if exponent.denominator == 1:
-        return ctx.mpf(2) ** ctx.mpf(exponent.numerator)
-    ix = ctx.mpf(exponent.numerator) / ctx.mpf(exponent.denominator)
-    return ctx.mpf(2) ** ix
-
-
-def _interval_value(ctx, exponents: Sequence[Fraction]):
-    total = ctx.mpf(0)
-    for x in exponents:
-        total += _interval_pow2(ctx, x)
-    return ctx.log(total) / ctx.log(2)
-
-
 def _scaled(endpoint, bits: int, ceiling: bool) -> int:
     """A positive mpf endpoint times 2^bits, rounded down or up to an integer."""
     _, man, exp, _ = endpoint
@@ -368,8 +379,29 @@ def _scaled(endpoint, bits: int, ceiling: bool) -> int:
 def _pow2_bounds(bits: int, r: int, d: int) -> tuple:
     """Integers lo <= 2^(bits + r/d) <= hi for a residue 0 < r/d < 1 in
     lowest terms, a few units apart."""
-    a, b = _interval_pow2(_context(bits), Fraction(r, d))._mpi_
+    ctx = _context(bits)
+    a, b = (ctx.mpf(2) ** (ctx.mpf(r) / ctx.mpf(d)))._mpi_
     return _scaled(a, bits, False), _scaled(b, bits, True)
+
+
+def _enclosure(bits: int, d: int, terms) -> tuple:
+    """Integers lo <= 2^bits * sum of c * 2^(r/d) <= hi over the (r, c)
+    pairs of terms, for residues 0 <= r < d and signed integers c."""
+    lo = hi = 0
+    for r, c in terms:
+        if not r:
+            lo += c << bits
+            hi += c << bits
+            continue
+        g = gcd(r, d)
+        low, high = _pow2_bounds(bits, r // g, d // g)
+        if c > 0:
+            lo += c * low
+            hi += c * high
+        else:
+            lo += c * high
+            hi += c * low
+    return lo, hi
 
 
 def _precision_ladder(cap: int) -> Iterator[int]:
@@ -397,10 +429,7 @@ def compare_entropy(x: ExactEntropy, y: ExactEntropy) -> Comparison:
         return Comparison.LESS if a < b else Comparison.GREATER
     da, sa, ta = _form(a)
     db, sb, tb = _form(b)
-    # With L the bit length of its coefficient sum, 2^x lies in
-    # [2^(s + L - 1), 2^(s + L + 1)), as each 2^f is in [1, 2).
-    la = sa + sum(m for _, m in ta).bit_length()
-    lb = sb + sum(m for _, m in tb).bit_length()
+    la, lb = _magnitude(sa, ta), _magnitude(sb, tb)
     if la + 2 <= lb:
         return Comparison.LESS
     if lb + 2 <= la:
@@ -418,23 +447,10 @@ def compare_entropy(x: ExactEntropy, y: ExactEntropy) -> Comparison:
         return Comparison.GREATER
     if all(c <= 0 for c in diff.values()):
         return Comparison.LESS
-    exact = diff.pop(0, 0)
-    rest = []
-    for r, c in diff.items():
-        if c:
-            g = gcd(r, d)
-            rest.append((r // g, d // g, c))
+    terms = [(r, c) for r, c in diff.items() if c]
     cap = max_precision_bits()
     for bits in _precision_ladder(cap):
-        lo = hi = exact << bits
-        for r, dr, c in rest:
-            low, high = _pow2_bounds(bits, r, dr)
-            if c > 0:
-                lo += c * low
-                hi += c * high
-            else:
-                lo += c * high
-                hi += c * low
+        lo, hi = _enclosure(bits, d, terms)
         if hi < 0:
             return Comparison.LESS
         if lo > 0:
@@ -452,7 +468,7 @@ def decimal_of(value: ExactEntropy, digits: int = 30) -> str:
     # Target enough slack that the interval width cannot disturb the
     # requested digits.
     for bits in _precision_ladder(cap):
-        box = _interval_value(_context(bits), value.exponents)
+        box = value.interval(bits)
         with mpmath.workprec(bits):
             lo = mpmath.mpf(box.a)
             hi = mpmath.mpf(box.b)

@@ -22,7 +22,8 @@ The entropy totals of the uniform parts are summed only once the first
 two criteria have passed.
 
 All comparisons are exact (``exact.compare_entropy``); undecided
-entropy comparisons surface as errors rather than guesses.
+entropy comparisons surface as errors rather than guesses.  A state
+equivalence counts its atoms by the exact floor of the entropy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 
-from .exact import Comparison, ExactEntropy, _precision_ladder, compare_entropy, max_precision_bits
+from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
 from .states import Atom, Eidostate, Pair, StateExpr, prime_factors
 
@@ -333,19 +334,14 @@ class MacroModel(ModelOracle):
         sigma = self.registry.entropy_exact(e)
         record = self.make_record()
         s_zero = self.registry.ensure_s_atom(Fraction(0))
-        if sigma.is_rational:
-            value = sigma.as_fraction()
-            n = int(value) + 1 if value >= 0 else 0
-            while Fraction(n) <= value:
-                n += 1
-            lam = value / n
-            exact = True
+        # The least integer above the entropy, so that each atom's share
+        # lies in [0, 1).
+        n = sigma.floor() + 1
+        exact = sigma.is_rational
+        if exact:
+            lam = sigma.as_fraction() / n
         else:
-            lo, hi = _integer_bracket(sigma)
-            # When the bracket is ambiguous take the safe larger candidate.
-            n = lo if lo == hi else hi
             lam = _nearest_on_grid(sigma, n, LAMBDA_DENOMINATOR_CAP)
-            exact = False
         e_state = record if q == 0 else _right_comb(s_zero, q)
         x = _right_comb(s_zero, n)
         y = _right_comb(self.registry.ensure_s_atom(lam), n)
@@ -411,22 +407,8 @@ def _random_shape(rng: random.Random, leaves) -> StateExpr:
     return Pair(_random_shape(rng, leaves[:cut]), _random_shape(rng, leaves[cut:]))
 
 
-def _integer_bracket(value: ExactEntropy) -> Tuple[int, int]:
-    """Candidates for the smallest integer exceeding the value, as a range."""
-    for bits in _precision_ladder(max_precision_bits()):
-        box = value.interval(bits)
-        with mpmath.workprec(bits):
-            lo = int(mpmath.floor(mpmath.mpf(box.a))) + 1
-            hi = int(mpmath.floor(mpmath.mpf(box.b))) + 1
-        if lo == hi:
-            return lo, hi
-    return lo, hi
-
-
 def _nearest_on_grid(value: ExactEntropy, n: int, denominator: int) -> Fraction:
     """The fraction k/denominator nearest to value/n, clamped to [0, 1]."""
-    box = value.interval(256)
     with mpmath.workprec(256):
-        mid = (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
-        numerator = int(mpmath.nint(mid / n * denominator))
+        numerator = int(mpmath.nint(entropy_mpf(value, 256) / n * denominator))
     return Fraction(min(max(numerator, 0), denominator), denominator)

@@ -129,7 +129,7 @@ def test_criterion_06_entropy_decomposition_residual():
     rng = random.Random(SEED)
     for _ in range(200):
         e = model.random_uniform_eidostate(rng)
-        report = shannon_decomposition(e, model, bits=128)
+        report = shannon_decomposition(e, model)
         assert float(report.residual()) <= 1e-12, e
 
 

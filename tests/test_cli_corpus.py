@@ -1,0 +1,133 @@
+"""A committed corpus of CLI outputs: stdout, stderr and exit code of every
+command over three scenarios, in both output formats.
+
+The golden file pins the bytes of entropy decimals, probabilities, every
+``prob-report`` field (residuals that are not zero among them), Landauer
+margins, irreversibility brackets, demon sizes and suite reports.  Record
+it again only for a change that is meant to move output bytes:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+"""
+
+import contextlib
+import io
+import json
+from importlib.resources import files
+from pathlib import Path
+
+import pytest
+
+from eidothermo import cli
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "cli_corpus.json"
+
+SZILARD = str(files("eidothermo").joinpath("scenarios", "szilard.txt"))
+RESIDUES = str(HERE / "scenarios" / "residues.txt")
+DIMENSIONS = str(HERE / "scenarios" / "dimensions.txt")
+
+SUITES = (
+    ("check-axioms", "--cases", "5"),
+    ("check-theorems", "--cases", "5"),
+)
+
+#: (scenario label, scenario path, command argument lists).
+CORPUS = (
+    ("szilard", SZILARD, (
+        ("classify", "vr", "Inserted"),
+        ("classify", "Measured", "Final"),
+        ("classify", "r", "Ib"),
+        ("classify", "Ib", "r"),
+        ("entropy", "Ib"),
+        ("entropy", "Final"),
+        ("prob", "v0", "Split"),
+        ("prob-report", "Final"),
+        ("landauer", "v0", "v"),
+        ("landauer", "v0", "v1"),
+        ("irrev", "v0", "v", "--qmax", "8"),
+        ("irrev", "v0", "v", "--qmax", "64"),
+        ("demon", "r", "Ib"),
+        ("demon", "Ib", "Split"),
+        *SUITES,
+    )),
+    ("residues", RESIDUES, (
+        ("classify", "a", "b"),
+        ("classify", "Trio", "Pairs"),
+        ("entropy", "Trio"),
+        ("entropy", "Pairs"),
+        ("entropy", "Mixed"),
+        ("prob", "a", "Trio"),
+        ("prob", "ab", "Lean"),
+        ("prob-report", "Trio"),
+        ("prob-report", "Lean"),
+        ("prob-report", "Skew"),
+        ("landauer", "zz", "bb"),
+        ("landauer", "bb", "zz"),
+        ("irrev", "a", "b", "--qmax", "8"),
+        ("irrev", "z", "b", "--qmax", "64"),
+        ("demon", "b", "a"),
+        *SUITES,
+    )),
+    ("dimensions", DIMENSIONS, (
+        ("classify", "t", "f"),
+        ("classify", "All", "t"),
+        ("entropy", "All"),
+        ("entropy", "Wide"),
+        ("prob", "t", "All"),
+        ("prob-report", "Wide"),
+        ("prob-report", "Even"),
+        ("prob-report", "Stack"),
+        ("landauer", "t", "x"),
+        ("landauer", "x", "t"),
+        ("irrev", "t", "f", "--qmax", "8"),
+        ("demon", "f", "t"),
+        *SUITES,
+    )),
+)
+
+
+def _runs():
+    for label, path, commands in CORPUS:
+        for argv in commands:
+            for fmt in ("text", "structured"):
+                key = f"{label}: {' '.join(argv)} --format {fmt}"
+                yield key, [*argv, "--format", fmt, "--scenario", path]
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def _record() -> None:
+    corpus = {key: _run(argv) for key, argv in _runs()}
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_covers_every_run(golden):
+    assert sorted(golden) == sorted(key for key, _ in _runs())
+
+
+def test_corpus_pins_nonzero_residuals(golden):
+    residuals = {
+        run["stdout"].rsplit("residual: ", 1)[1]
+        for key, run in golden.items()
+        if "prob-report" in key and key.endswith("text")
+    }
+    assert len(residuals - {"0.0\n"}) >= 1
+
+
+@pytest.mark.parametrize("key,argv", list(_runs()), ids=[key for key, _ in _runs()])
+def test_cli_bytes_match_corpus(golden, key, argv):
+    assert _run(argv) == golden[key]
+
+
+if __name__ == "__main__":
+    _record()

@@ -35,6 +35,7 @@ from eidothermo.engine import (
     shannon_decomposition,
 )
 from eidothermo.exact import ExactEntropy
+from eidothermo.harness import MutantFlippedEntropyOrder
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import ModelOracle
 from eidothermo.quantum import QuantumModel
@@ -593,6 +594,17 @@ def test_info_balance_identity(macro):
 def test_info_balance_requires_natural(macro):
     with pytest.raises(ImpossibleProcessError):
         info_balance_check(singleton(S1), singleton(S0), macro)
+
+
+def test_info_balance_verdict_is_exact():
+    # The entropy-flipping mutant lets s_{1/10^10} fall to s_0: the slack
+    # S(B) - S(A) is -10^-10, a violation however small.
+    model = MutantFlippedEntropyOrder()
+    a = singleton(model.registry.ensure_s_atom(Fraction(1, 10**10)))
+    b = singleton(model.registry.ensure_s_atom(Fraction(0)))
+    verdict = info_balance_check(a, b, model)
+    assert verdict.satisfied is False
+    assert float(verdict.slack) == pytest.approx(-1e-10)
 
 
 def test_process_algebra_structural():

@@ -2,6 +2,7 @@
 
 import decimal
 import hashlib
+import math
 from bisect import insort
 from fractions import Fraction
 
@@ -445,3 +446,68 @@ def test_equality_matches_reference(xs, ys):
 @settings(max_examples=40, deadline=None)
 def test_decimal_matches_reference(xs):
     assert ExactEntropy(xs).decimal(30) == ref_decimal(ref_canonical(xs), 30)
+
+
+# -- the enclosure and the floor against the interval reference ----------
+
+wide_exponent_lists = st.one_of(
+    exponent_lists, st.lists(wide_rationals, min_size=1, max_size=4)
+)
+
+
+def _endpoints(box, bits):
+    with mpmath.workprec(bits):
+        return mpmath.mpf(box.a), mpmath.mpf(box.b)
+
+
+@given(wide_exponent_lists)
+@settings(max_examples=60, deadline=None)
+def test_interval_matches_reference(xs):
+    value, ref = ExactEntropy(xs), ref_canonical(xs)
+    for bits in (64, 128, 192):
+        lo, hi = _endpoints(value.interval(bits), bits)
+        ref_lo, ref_hi = _endpoints(_ref_log2(bits, ref), bits)
+        # Both enclose the value, so they meet.
+        assert lo <= ref_hi and ref_lo <= hi
+        with mpmath.workprec(bits):
+            assert hi - lo <= mpmath.mpf(2) ** (8 - bits) * max(1, abs(lo), abs(hi))
+
+
+# The two 64-bit midpoints differ by up to 2^-62, so a float could round
+# apart on a rare input; a fixed example set keeps the check reproducible.
+@given(wide_exponent_lists)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_float_and_decimal_match_reference(xs):
+    value, ref = ExactEntropy(xs), ref_canonical(xs)
+    ref_lo, ref_hi = _endpoints(_ref_log2(64, ref), 64)
+    with mpmath.workprec(64):
+        assert float(value) == float((ref_lo + ref_hi) / 2)
+    assert value.decimal(30) == ref_decimal(ref, 30)
+
+
+@given(wide_exponent_lists)
+@settings(max_examples=100, deadline=None)
+def test_floor_matches_reference(xs):
+    value = ExactEntropy(xs)
+    lo, hi = _endpoints(_ref_log2(512, ref_canonical(xs)), 512)
+    assert int(mpmath.floor(lo)) <= value.floor() <= int(mpmath.floor(hi))
+    if value.is_rational:
+        assert value.floor() == math.floor(value.as_fraction())
+
+
+def test_floor_pinned_cases():
+    for k in range(1, 301):
+        assert ExactEntropy.log2_of_int(2**k).floor() == k
+        assert ExactEntropy.log2_of_int(2**k + 1).floor() == k
+        assert ExactEntropy.log2_of_int(2**k - 1).floor() == k - 1
+        if k >= 3:
+            # k - 1/3 < log2(2^k - 1) < k
+            assert (ExactEntropy.log2_of_int(2**k - 1) + Fraction(1, 3)).floor() == k
+    assert ExactEntropy([-3, Fraction(-7, 2)]).floor() == -3
+    assert ExactEntropy([Fraction(-1, 3), Fraction(-1, 2)]).floor() == 0
+    assert ExactEntropy([-5, -6]).floor() == -5
+    assert ExactEntropy.from_rational(Fraction(-7, 3)).floor() == -3
+    assert ExactEntropy.from_rational(Fraction(7, 3)).floor() == 2
+    assert ExactEntropy.from_rational(-5).floor() == -5
+    assert ExactEntropy.from_rational(0).floor() == 0
+    assert ExactEntropy.from_rational(5).floor() == 5

@@ -1,10 +1,16 @@
 """Tests for the randomized verification suites."""
 
+import dataclasses
 import hashlib
 import json
+import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
+from eidothermo.engine import entropy_uniform
+from eidothermo.exact import entropy_mpf
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -13,6 +19,7 @@ from eidothermo.harness import (
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
     SuiteConfig,
+    _check_axiom_9,
     run_axiom_report,
     run_axiom_suite,
     run_theorem_report,
@@ -20,6 +27,7 @@ from eidothermo.harness import (
 )
 from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
+from eidothermo.states import combine, singleton
 
 FAST = SuiteConfig(cases_per_check=60, seed=42)
 
@@ -166,3 +174,31 @@ def test_suite_reports_are_pinned():
                 ])
     blob = json.dumps(rows, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORT_DIGEST
+
+
+class TightToleranceMacro(MacroModel):
+    """Approximate state equivalences whose tolerance sits 2^-90 below
+    the true entropy gap of their two sides."""
+
+    def state_equivalence(self, e):
+        eq = super().state_equivalence(e)
+        if eq.exact:
+            return eq
+        lhs = combine(e, singleton(eq.x))
+        rhs = combine(singleton(eq.e), singleton(eq.y))
+        with mpmath.workprec(600):
+            gap = abs(
+                entropy_mpf(entropy_uniform(lhs, self), 600)
+                - entropy_mpf(entropy_uniform(rhs, self), 600)
+            ) - mpmath.mpf(2) ** -90
+            man, exp = gap.man_exp
+        return dataclasses.replace(eq, tolerance=Fraction(man) * Fraction(2) ** exp)
+
+
+def test_axiom_9_tolerance_verdict_is_exact():
+    model = TightToleranceMacro()
+    config = SuiteConfig()
+    outcomes = [_check_axiom_9(model, config, random.Random(seed)) for seed in range(200)]
+    missed = [o for o in outcomes if o is not None]
+    assert missed
+    assert all("beyond tolerance" in observed for _, observed in missed)
