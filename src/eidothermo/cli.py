@@ -53,7 +53,7 @@ from .states import Process, ResourceCapError
 __all__ = ["main"]
 
 #: Upper bounds on the search and suite sizes the CLI accepts.
-MAX_QMAX = 4096
+MAX_QMAX = 100000
 MAX_CASES = 10_000
 
 #: Longest error message printed whole.

@@ -13,20 +13,18 @@ the Landauer and information-balance verdicts are exact comparisons.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
-as independent cross-checks in the tests.  For each copy count q it runs
-two threshold searches over the bit-process count p (``_last_holding``):
-each probes a guess taken from the cut found for smaller q (q times the
-bracket end, rounded), gallops outward with doubling steps until the
-threshold is bracketed, and bisects.  Since the threshold for q copies is
-q times the irreversibility, rounded, most searches end after two arrows.
-The search floor (forward) and ceiling (backward) are evaluated only
-when a search reaches them.
+as independent cross-checks in the tests.  Its bracket is the best
+rational approximation of the cut from below and from above with
+denominator at most q_max.  Those two fractions are Stern-Brocot
+neighbours, and a descent that gallops along each continued-fraction
+term finds them with O(log q_max) arrows; an arrow certifies each end.
+The search floor for the integer part comes from the exact floors of
+the two entropies.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -228,14 +226,6 @@ class IrreversibilityEstimate:
         return self.upper - self.lower
 
 
-def _entropy_ceiling(oracle: ModelOracle, a: StateExpr, b: StateExpr) -> int:
-    bound = 1
-    for x in (a, b):
-        value = float(entropy_mpf(oracle.state_entropy(x), 64))
-        bound = max(bound, int(math.ceil(abs(value))))
-    return bound
-
-
 def _forward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
     """q copies of <a,b> drive p bit processes."""
     if p >= 0:
@@ -258,37 +248,22 @@ def _backward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
     return oracle.arrow_combined(parts_a, parts_b)
 
 
-def _last_holding(holds, lo: int, hi: int, guess: int) -> int:
-    """Largest p in [lo, hi) with holds(p), for a predicate that holds up
+def _gallop(holds, limit: int) -> int:
+    """Largest k in [0, limit] with holds(k), for a predicate that holds up
     to a threshold and fails beyond it.
 
-    holds(lo) is taken to be true and holds(hi) false; neither endpoint
-    is evaluated.  The search probes the guess, gallops away from it
-    with doubling steps until the threshold is bracketed, then bisects.
-    A guess at the threshold or one above it costs two predicate calls.
+    holds(0) is taken to be true and is not evaluated.  The search probes
+    k = 1, 2, 4, ... until one fails or the next would pass the limit,
+    then bisects; an answer of 0 or 1 costs at most two probes.
     """
-    yes, no = lo, hi
-    guess = min(max(guess, lo), hi - 1)
-    if guess > lo:
-        if holds(guess):
-            yes = guess
-        else:
-            no = guess
-    step = 1
-    if no == hi:
-        while yes + step < no:
-            if not holds(yes + step):
-                no = yes + step
-                break
-            yes += step
-            step *= 2
-    else:
-        while no - step > yes:
-            if holds(no - step):
-                yes = no - step
-                break
-            no -= step
-            step *= 2
+    yes, no = 0, limit + 1
+    k = 1
+    while k < no:
+        if not holds(k):
+            no = k
+            break
+        yes = k
+        k *= 2
     while no - yes > 1:
         mid = (yes + no) // 2
         if holds(mid):
@@ -301,14 +276,22 @@ def _last_holding(holds, lo: int, hi: int, guess: int) -> int:
 def irreversibility_estimate(
     a: StateExpr, b: StateExpr, q_max: int, oracle: ModelOracle
 ) -> IrreversibilityEstimate:
-    """Tightest bracket on the irreversibility found with up to q_max copies.
+    """Tightest bracket on the irreversibility x found with up to q_max copies.
 
-    For each copy count q the largest p with "q processes drive p bit
-    processes" joins the lower cut, and the smallest p with the reverse
-    joins the upper cut.  Both are threshold searches that rely only on
-    the arrow oracle and monotonicity in p; each starts from the cut
-    already found for smaller q, since the threshold for q copies is
-    q times the irreversibility, rounded.
+    The ends are the best approximations of x from below and above with
+    denominator at most q_max: the largest p/q such that q copies of the
+    process drive p bit processes, and the smallest p/q such that p bit
+    processes drive q copies back.  A Stern-Brocot descent keeps
+    neighbours L < R, the forward relation holding at L and failing at
+    R; while den(L) + den(R) <= q_max it gallops the end that their
+    mediant replaces toward the other.  A backward arrow at each new L
+    asks whether x = L, which gives [L, L]; otherwise one at R certifies
+    the upper end of [L, R].
+
+    The descent assumes that the relations depend on p/q alone: q copies
+    drive p bit processes exactly when kq copies drive kp.  Cancellation
+    gives that homogeneity in every model of the axioms; an oracle that
+    breaks it can get a wrong bracket.
     """
     if q_max < 1:
         raise ValueError("q_max must be positive")
@@ -319,44 +302,55 @@ def irreversibility_estimate(
     # cached prime factorization serves every arrow below.
     bit = oracle.make_bit_state()
     srecord = singleton(oracle.make_record())
-    ceiling = _entropy_ceiling(oracle, a, b)
-    best_lower: Optional[Fraction] = None
-    best_upper: Optional[Fraction] = None
-    for q in range(1, q_max + 1):
-        bound = q * (ceiling + 1) + 8
 
-        def forward(p: int) -> bool:
-            return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
+    def forward(q: int, p: int) -> bool:
+        return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
 
-        def backward(p: int) -> bool:
-            return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
+    def backward(q: int, p: int) -> bool:
+        return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
 
-        # Largest p with the forward relation: it must hold at -bound
-        # (checked only when the search lands there) and fails beyond
-        # +bound.
-        guess = 0 if best_lower is None else math.floor(q * best_lower)
-        lower = _last_holding(forward, -bound, bound + 1, guess)
-        if lower == -bound and not forward(lower):
+    # The integer part, by galloping from p = 0 with one copy.  Each |S|
+    # is below |floor(S)| + 1, so for a bit process of one unit the cut
+    # lies strictly between -bound and +bound: the forward relation must
+    # hold at -bound (the search floor, probed if the gallop reaches it)
+    # and is taken to fail at +bound.
+    bound = sum(abs(oracle.state_entropy(x).floor()) + 1 for x in (a, b))
+    if forward(1, 0):
+        n = _gallop(lambda j: forward(1, j), bound - 1)
+    else:
+        k = _gallop(lambda j: not forward(1, -j), bound)
+        if k == bound:
             raise ImpossibleProcessError(
-                f"forward relation failed at the search floor for q={q}"
+                "forward relation failed at the search floor for q=1"
             )
-
-        # Smallest p with the backward relation, one past the largest p
-        # without it: it must hold at +bound (checked only when the
-        # search lands there).
-        guess = 0 if best_upper is None else math.ceil(q * best_upper) - 1
-        upper = _last_holding(lambda p: not backward(p), -bound - 1, bound, guess) + 1
-        if upper == bound and not backward(upper):
-            raise ImpossibleProcessError(
-                f"backward relation failed at the search ceiling for q={q}"
-            )
-
-        lower_candidate, upper_candidate = Fraction(lower, q), Fraction(upper, q)
-        if best_lower is None or lower_candidate > best_lower:
-            best_lower = lower_candidate
-        if best_upper is None or upper_candidate < best_upper:
-            best_upper = upper_candidate
-    return IrreversibilityEstimate(lower=best_lower, upper=best_upper, q_max=q_max)
+        n = -1 - k
+    # L = lp/lq and R = rp/rq are Stern-Brocot neighbours: lq*rp - lp*rq = 1.
+    lp, lq, rp, rq = n, 1, n + 1, 1
+    exact = backward(lq, lp)
+    left = None
+    while not exact and lq + rq <= q_max:
+        p, q = lp + rp, lq + rq
+        if left is None:
+            left = forward(q, p)
+        if left:
+            k = _gallop(lambda j: forward(q + j * rq, p + j * rp), (q_max - q) // rq)
+            lp, lq = p + k * rp, q + k * rq
+            exact = backward(lq, lp)
+        else:
+            k = _gallop(lambda j: not forward(q + j * lq, p + j * lp), (q_max - q) // lq)
+            rp, rq = p + k * lp, q + k * lq
+        # A gallop that stops short of its limit has probed the next
+        # mediant, one step past its end, and seen the relation turn;
+        # one that reaches its limit ends the descent.
+        left = not left
+    lower = Fraction(lp, lq)
+    if exact:
+        return IrreversibilityEstimate(lower, lower, q_max)
+    if not backward(rq, rp):
+        raise ImpossibleProcessError(
+            f"backward relation failed at the search ceiling for q={rq}"
+        )
+    return IrreversibilityEstimate(lower, Fraction(rp, rq), q_max)
 
 
 # -- demon planning ---------------------------------------------------

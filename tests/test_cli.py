@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +306,17 @@ def test_not_uniform_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "entropy", "--scenario", str(path), "Bad")
     assert code == 2
     assert "not uniform" in err
+
+
+@pytest.mark.parametrize("scenario, a, b, bracket", [
+    (None, "v0", "v", "[1/1, 1/1]"),
+    ("dimensions.txt", "t", "f", "[41147/55833, 38320/51997]"),
+])
+def test_irrev_at_qmax_100000(capsys, szilard, scenario, a, b, bracket):
+    path = szilard if scenario is None else str(Path(__file__).parent / "scenarios" / scenario)
+    code, out, _ = run_cli(capsys, "irrev", "--scenario", path, a, b, "--qmax", "100000")
+    assert code == 0
+    assert out.splitlines()[0] == f"bracket: {bracket}"
 
 
 def test_impossible_process_rejected(capsys, szilard):

@@ -1,5 +1,6 @@
 """Tests for the model-generic engine."""
 
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,9 @@ from eidothermo.engine import (
     MinInfoStatus,
     NotUniformError,
     SearchBoundExceeded,
-    _last_holding,
+    _backward_holds,
+    _forward_holds,
+    _gallop,
     adiabatically_accessible,
     classify,
     conditional_probability,
@@ -366,8 +369,9 @@ QUANTUM_BRACKETS = [
     ("q2", "q5", 32, Fraction(37, 28), Fraction(41, 31)),
 ]
 
-#: Arrows the cold search made for the first 12 criterion-7 brackets.
-COLD_SEARCH_ARROWS_12 = 12872
+#: Arrows the Stern-Brocot descent makes for the first 12 criterion-7
+#: brackets.
+DESCENT_ARROWS_12 = 97
 
 
 class CountingMacro(MacroModel):
@@ -407,53 +411,180 @@ def test_irreversibility_quantum_brackets_pinned(quantum):
     assert got == QUANTUM_BRACKETS
 
 
-def test_irreversibility_search_is_warm_started():
+def test_irreversibility_descent_arrow_count():
+    """The cold per-copy-count search made 12,872 arrows for these 12
+    brackets, and its warm-started successor about 3,130."""
     model = CountingMacro()
     assert _criterion_7_brackets(model, 12) == CRITERION_7_BRACKETS[:12]
-    assert model.arrow_calls <= COLD_SEARCH_ARROWS_12 // 3, model.arrow_calls
+    assert model.arrow_calls <= DESCENT_ARROWS_12, model.arrow_calls
 
 
-def _bisect_last_holding(holds, lo, hi):
-    """Reference: plain bisection for the largest p in [lo, hi) with holds(p)."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
+def _last_holding(holds, lo, hi, guess):
+    """Largest p in [lo, hi) with holds(p), for a predicate that holds up
+    to a threshold and fails beyond it; neither endpoint is evaluated.
+    Probes the guess, gallops away from it with doubling steps, bisects."""
+    yes, no = lo, hi
+    guess = min(max(guess, lo), hi - 1)
+    if guess > lo:
+        if holds(guess):
+            yes = guess
         else:
-            hi = mid
-    return lo
+            no = guess
+    step = 1
+    if no == hi:
+        while yes + step < no:
+            if not holds(yes + step):
+                no = yes + step
+                break
+            yes += step
+            step *= 2
+    else:
+        while no - step > yes:
+            if holds(no - step):
+                yes = no - step
+                break
+            no -= step
+            step *= 2
+    while no - yes > 1:
+        mid = (yes + no) // 2
+        if holds(mid):
+            yes = mid
+        else:
+            no = mid
+    return yes
+
+
+def _reference_bracket(a, b, q_max, oracle):
+    """The search the descent replaced: for every copy count q up to q_max,
+    the largest p with the forward relation and the smallest p with the
+    backward one, each searched from the cut found with fewer copies
+    within a bound taken from the float entropies."""
+    sa, sb = singleton(a), singleton(b)
+    bit = oracle.make_bit_state()
+    srecord = singleton(oracle.make_record())
+    ceiling = max([1] + [math.ceil(abs(float(oracle.state_entropy(x)))) for x in (a, b)])
+    best_lower = best_upper = None
+    for q in range(1, q_max + 1):
+        bound = q * (ceiling + 1) + 8
+
+        def forward(p):
+            return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
+
+        def backward(p):
+            return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
+
+        guess = 0 if best_lower is None else math.floor(q * best_lower)
+        lower = _last_holding(forward, -bound, bound + 1, guess)
+        assert lower > -bound or forward(lower)
+        guess = 0 if best_upper is None else math.ceil(q * best_upper) - 1
+        upper = _last_holding(lambda p: not backward(p), -bound - 1, bound, guess) + 1
+        assert upper < bound or backward(upper)
+        if best_lower is None or Fraction(lower, q) > best_lower:
+            best_lower = Fraction(lower, q)
+        if best_upper is None or Fraction(upper, q) < best_upper:
+            best_upper = Fraction(upper, q)
+    return best_lower, best_upper
+
+
+def _assert_best_approximations(est):
+    """The ends are the best approximations with denominator <= q_max from
+    below and above: equal, or Stern-Brocot neighbours with no fraction
+    of denominator <= q_max between them."""
+    lower, upper = est.lower, est.upper
+    assert max(lower.denominator, upper.denominator) <= est.q_max
+    if lower < upper:
+        assert upper.numerator * lower.denominator - lower.numerator * upper.denominator == 1
+        assert lower.denominator + upper.denominator > est.q_max
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    content=st.integers(1, 3),
+    q_max=st.one_of(st.sampled_from([1, 2, 3, 7, 16, 64]), st.integers(1, 300)),
+)
+@settings(max_examples=60, deadline=None)
+def test_descent_matches_reference_on_macro_pairs(seed, content, q_max):
+    model = MacroModel()
+    rng = random.Random(seed)
+    a = model.random_state_with_content(rng, content)
+    b = model.random_state_with_content(rng, content)
+    est = irreversibility_estimate(a, b, q_max, model)
+    assert (est.lower, est.upper) == _reference_bracket(a, b, q_max, model)
+    _assert_best_approximations(est)
+
+
+@given(
+    dims=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    q_max=st.one_of(st.sampled_from([1, 2, 3, 7, 16, 64]), st.integers(1, 64)),
+)
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_reference_on_quantum_atoms(dims, q_max):
+    model = QuantumModel()
+    a, b = (model.registry.ensure_dim(d) for d in dims)
+    est = irreversibility_estimate(a, b, q_max, model)
+    assert (est.lower, est.upper) == _reference_bracket(a, b, q_max, model)
+    _assert_best_approximations(est)
+
+
+def _assert_strictly_inside(est, da, db):
+    """lower < log2(db/da) < upper, at 256 bits."""
+    with mpmath.workprec(256):
+        x = mpmath.log(mpmath.mpf(db) / da, 2)
+        assert est.lower.numerator < x * est.lower.denominator
+        assert x * est.upper.denominator < est.upper.numerator
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (2, 3), (7, 2), (12, 11)])
+def test_quantum_bracket_at_large_qmax_is_certified(quantum, dims):
+    a, b = (quantum.registry.ensure_dim(d) for d in dims)
+    est = irreversibility_estimate(a, b, 10**5, quantum)
+    _assert_best_approximations(est)
+    _assert_strictly_inside(est, *dims)
+    if dims == (3, 5):
+        assert (est.lower, est.upper) == (Fraction(41147, 55833), Fraction(38320, 51997))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_irreversibility_bracket_with_large_entropy(quantum, forward):
+    """|S| is about 1,000 on one side, far past any small fixed bound."""
+    big = quantum.registry.ensure_dim(10**300)
+    assert quantum.state_entropy(big) == ExactEntropy.log2_of_int(10**300)
+    unit = quantum.registry.ensure_dim(1)
+    a, b = (unit, big) if forward else (big, unit)
+    est = irreversibility_estimate(a, b, 16, quantum)
+    assert (est.lower, est.upper) == _reference_bracket(a, b, 16, quantum)
+    est = irreversibility_estimate(a, b, 1000, quantum)
+    _assert_best_approximations(est)
+    _assert_strictly_inside(est, *((1, 10**300) if forward else (10**300, 1)))
+
+
+def _homogeneity_breaks(oracle, a, b, q, p, k):
+    """Whether either search relation at (k*q, k*p) differs from (q, p)."""
+    args = (oracle, singleton(a), singleton(b), oracle.make_bit_state(),
+            singleton(oracle.make_record()))
+    return any(
+        holds(*args, k * q, k * p) != holds(*args, q, p)
+        for holds in (_forward_holds, _backward_holds)
+    )
 
 
 @given(st.data())
-@settings(max_examples=300)
-def test_last_holding_matches_bisection(data):
-    lo = data.draw(st.integers(-100, 100), label="lo")
-    hi = lo + data.draw(st.integers(1, 300), label="width")
-    threshold = data.draw(
-        st.one_of(st.just(lo), st.just(hi - 1), st.integers(lo, hi - 1)),
-        label="threshold",
-    )
-    guess = data.draw(
-        st.one_of(
-            st.integers(threshold - 1, threshold + 1),
-            st.integers(lo - 50, hi + 50),
-            st.sampled_from([lo, hi - 1, hi, 0]),
-        ),
-        label="guess",
-    )
-    probed = []
-
-    def holds(p):
-        # Neither endpoint is evaluated: holds(lo) and not holds(hi) are given.
-        assert lo < p < hi, p
-        probed.append(p)
-        return p <= threshold
-
-    got = _last_holding(holds, lo, hi, guess)
-    assert got == _bisect_last_holding(lambda p: p <= threshold, lo, hi) == threshold
-    assert len(probed) == len(set(probed))
-    if guess in (threshold, threshold + 1) and lo < guess < hi:
-        assert len(probed) <= 2
+@settings(max_examples=80, deadline=None)
+def test_search_relations_are_homogeneous(data):
+    """The descent needs each relation to depend on p/q alone."""
+    if data.draw(st.booleans(), label="macro"):
+        model = MacroModel()
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        content = data.draw(st.integers(1, 3), label="content")
+        a = model.random_state_with_content(rng, content)
+        b = model.random_state_with_content(rng, content)
+    else:
+        model = QuantumModel()
+        a, b = (model.registry.ensure_dim(data.draw(st.integers(2, 12))) for _ in "ab")
+    q = data.draw(st.integers(1, 8), label="q")
+    p = data.draw(st.integers(-4 * q, 4 * q), label="p")
+    k = data.draw(st.integers(2, 5), label="k")
+    assert not _homogeneity_breaks(model, a, b, q, p, k)
 
 
 class SearchStub(MacroModel):
@@ -474,18 +605,54 @@ class SearchStub(MacroModel):
         return super().arrow_combined(parts_a, parts_b)
 
 
-@pytest.mark.parametrize("from_q", [1, 3])
-def test_irreversibility_forward_fails_at_floor(from_q):
+@pytest.mark.parametrize("q_max", [1, 8])
+def test_irreversibility_forward_fails_at_floor(q_max):
+    """The integer part is found with one copy, so the floor error names q=1."""
     with pytest.raises(ImpossibleProcessError) as info:
-        irreversibility_estimate(S0, S1, 8, SearchStub(S0, from_q))
-    assert str(info.value) == f"forward relation failed at the search floor for q={from_q}"
+        irreversibility_estimate(S0, S1, q_max, SearchStub(S0, 1))
+    assert str(info.value) == "forward relation failed at the search floor for q=1"
 
 
-@pytest.mark.parametrize("from_q", [1, 3])
-def test_irreversibility_backward_fails_at_ceiling(from_q):
+@pytest.mark.parametrize("q_max", [1, 8])
+def test_irreversibility_backward_fails_at_ceiling(q_max):
+    """With no backward arrow, x = 1 is never certified exact, and the
+    upper end left is (q_max + 1)/q_max."""
     with pytest.raises(ImpossibleProcessError) as info:
-        irreversibility_estimate(S0, S1, 8, SearchStub(S1, from_q))
-    assert str(info.value) == f"backward relation failed at the search ceiling for q={from_q}"
+        irreversibility_estimate(S0, S1, q_max, SearchStub(S1, 1))
+    assert str(info.value) == (
+        f"backward relation failed at the search ceiling for q={q_max}"
+    )
+
+
+def test_homogeneity_check_flags_a_copy_count_stub():
+    """Stubs whose arrows change from three copies on break homogeneity,
+    so the descent owes them no right bracket."""
+    assert not _homogeneity_breaks(MacroModel(), S0, S1, 1, 1, 3)
+    assert _homogeneity_breaks(SearchStub(S0, 3), S0, S1, 1, 1, 3)
+    assert _homogeneity_breaks(SearchStub(S1, 3), S0, S1, 1, 1, 3)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_gallop_matches_linear_scan(data):
+    limit = data.draw(st.integers(0, 300), label="limit")
+    threshold = data.draw(
+        st.one_of(st.sampled_from([0, 1, limit]), st.integers(0, limit + 5)),
+        label="threshold",
+    )
+    probed = []
+
+    def holds(k):
+        # holds(0) is given, and nothing past the limit is asked.
+        assert 0 < k <= limit, k
+        probed.append(k)
+        return k <= threshold
+
+    expected = max(k for k in range(limit + 1) if k <= threshold)
+    assert _gallop(holds, limit) == expected
+    assert len(probed) == len(set(probed))
+    if expected <= 1:
+        assert len(probed) <= 2
 
 
 def test_irreversibility_quantum(quantum):
