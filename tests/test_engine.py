@@ -605,7 +605,7 @@ class SearchStub(MacroModel):
         return super().arrow_combined(parts_a, parts_b)
 
 
-@pytest.mark.parametrize("q_max", [1, 8])
+@pytest.mark.parametrize("q_max", [1, 3, 8])
 def test_irreversibility_forward_fails_at_floor(q_max):
     """The integer part is found with one copy, so the floor error names q=1."""
     with pytest.raises(ImpossibleProcessError) as info:
@@ -613,7 +613,7 @@ def test_irreversibility_forward_fails_at_floor(q_max):
     assert str(info.value) == "forward relation failed at the search floor for q=1"
 
 
-@pytest.mark.parametrize("q_max", [1, 8])
+@pytest.mark.parametrize("q_max", [1, 3, 8])
 def test_irreversibility_backward_fails_at_ceiling(q_max):
     """With no backward arrow, x = 1 is never certified exact, and the
     upper end left is (q_max + 1)/q_max."""
