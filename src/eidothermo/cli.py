@@ -19,6 +19,12 @@ elide the middle.
 
 Entropy comparisons climb a precision ladder capped by the
 EIDOTHERMO_MAX_BITS environment variable (bits, default 4096).
+
+A command loads only what it uses: mpmath when it prints a decimal or a
+probability or climbs the ladder, the property-test harness for
+check-axioms and check-theorems, and the quantum model for quantum
+scenarios.  The run_axiom_report and run_theorem_report functions here
+import the harness when called.
 """
 
 from __future__ import annotations
@@ -28,15 +34,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .engine import (
     DEFAULT_BITS,
     PROBABILITY_DIGITS,
     MinInfoStatus,
-    SearchBoundExceeded,
     classify,
     entropic_probability,
     entropy_uniform,
@@ -46,9 +49,11 @@ from .engine import (
     shannon_decomposition,
 )
 from .exact import decimal_of
-from .harness import SuiteConfig, SuiteReport, run_axiom_report, run_theorem_report
 from .scenario import Scenario, member_names, parse_scenario
 from .states import Process, ResourceCapError
+
+if TYPE_CHECKING:
+    from .harness import SuiteConfig, SuiteReport
 
 __all__ = ["main"]
 
@@ -77,6 +82,8 @@ def _frac(value: Fraction) -> str:
 
 
 def _mpf_decimal(value) -> str:
+    import mpmath
+
     with mpmath.workprec(DEFAULT_BITS):
         return mpmath.nstr(value, PROBABILITY_DIGITS, strip_zeros=False)
 
@@ -269,13 +276,31 @@ def _suite_output(command: str, sc: Scenario, args, report: SuiteReport) -> Comm
     )
 
 
+def run_axiom_report(oracle, config: SuiteConfig) -> SuiteReport:
+    """``harness.run_axiom_report``, importing the harness when called."""
+    from . import harness
+
+    return harness.run_axiom_report(oracle, config)
+
+
+def run_theorem_report(oracle, config: SuiteConfig) -> SuiteReport:
+    """``harness.run_theorem_report``, importing the harness when called."""
+    from . import harness
+
+    return harness.run_theorem_report(oracle, config)
+
+
 def _cmd_check_axioms(args, sc: Scenario) -> CommandOutput:
+    from .harness import SuiteConfig
+
     config = SuiteConfig(cases_per_check=args.cases, seed=args.seed)
     report = run_axiom_report(sc.oracle(), config)
     return _suite_output("check-axioms", sc, args, report)
 
 
 def _cmd_check_theorems(args, sc: Scenario) -> CommandOutput:
+    from .harness import SuiteConfig
+
     config = SuiteConfig(cases_per_check=args.cases, seed=args.seed)
     report = run_theorem_report(sc.oracle(), config)
     return _suite_output("check-theorems", sc, args, report)
@@ -391,8 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_bounds(args)
         scenario = _load_scenario(args)
         output = _HANDLERS[args.command](args, scenario)
-    except (ValueError, KeyError, ArithmeticError, SearchBoundExceeded, OSError,
-            RecursionError, ResourceCapError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError, RecursionError,
+            ResourceCapError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {_bounded(str(message))}", file=sys.stderr)
         return 2

@@ -4,12 +4,13 @@ Everything here is phrased purely in terms of the oracle contract:
 process classification, uniform entropy, entropic probabilities and the
 entropy decomposition, the Gibbs gap, the Dedekind-cut irreversibility
 estimator, demon planning (minimum information to enable a
-transformation), Landauer and information-balance checks, process
-algebra, and adiabatic accessibility.
+transformation) and the Landauer check.
 
 Probabilities, decompositions, the Gibbs gap and the Landauer margin
 are mpmath numbers at a fixed DEFAULT_BITS (128) of working precision;
-the Landauer and information-balance verdicts are exact comparisons.
+the functions that compute them import mpmath themselves, so
+classification, the irreversibility bracket and demon planning never
+load it.  The Landauer verdict is an exact comparison.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
@@ -27,9 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
-
-import mpmath
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
 from .oracle import InformationState, ModelOracle
@@ -38,8 +37,6 @@ from .states import (
     Process,
     ProcessType,
     StateExpr,
-    combine,
-    similar,
     singleton,
 )
 
@@ -53,10 +50,6 @@ class NotUniformError(ValueError):
 
 class ImpossibleProcessError(ValueError):
     """An operation requiring a possible process received an impossible one."""
-
-
-class SearchBoundExceeded(RuntimeError):
-    """A bounded search ended without covering the space of candidates."""
 
 
 def classify(process: Process, oracle: ModelOracle) -> ProcessType:
@@ -84,6 +77,8 @@ def entropy_uniform(e: Eidostate, oracle: ModelOracle) -> ExactEntropy:
 
 def _power_sum(value: ExactEntropy):
     """2 raised to the value, summed under the ambient working precision."""
+    import mpmath
+
     total = mpmath.mpf(0)
     for x in value.exponents:
         if x.denominator == 1:
@@ -94,6 +89,8 @@ def _power_sum(value: ExactEntropy):
 
 
 def _to_mpf(value):
+    import mpmath
+
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return mpmath.mpf(value)
@@ -120,6 +117,8 @@ def conditional_probability(
     Weights are summed in e's member order, so results do not depend on
     set iteration order.
     """
+    import mpmath
+
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     set_a, set_b = set(a), set(b)
@@ -143,6 +142,8 @@ class ProbabilityReport:
     shannon_term: object
 
     def residual(self):
+        import mpmath
+
         with mpmath.workprec(DEFAULT_BITS):
             return abs(
                 self.entropy_total - (self.mean_state_entropy + self.shannon_term)
@@ -152,6 +153,8 @@ class ProbabilityReport:
 def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
     """Probabilities plus the identity S(E) = <S> + H evaluated at
     DEFAULT_BITS of working precision."""
+    import mpmath
+
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     members = e.members
@@ -183,6 +186,8 @@ def gibbs_gap(
 
     Nonnegative always; zero exactly at the entropic distribution.
     """
+    import mpmath
+
     entropy = entropy_uniform(e, oracle)
     members = set(e.members)
     if not set(distribution) <= members:
@@ -411,7 +416,7 @@ def demonically_possible(
     return backward.status is MinInfoStatus.FOUND
 
 
-# -- bookkeeping checks -----------------------------------------------
+# -- the erasure bound ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -427,6 +432,8 @@ class LandauerVerdict:
 def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerVerdict:
     """If a plus a bit state reaches b, the entropy of b must exceed that
     of a by at least one unit; reports the margin."""
+    import mpmath
+
     bit = oracle.make_bit_state()
     sa, sb = singleton(a), singleton(b)
     erases = oracle.arrow_combined(((sa, 1), (bit, 1)), ((sb, 1),))
@@ -442,101 +449,3 @@ def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerV
         margin = entropy_mpf(eb, DEFAULT_BITS) - entropy_mpf(ea, DEFAULT_BITS) - 1
         margin_decimal = mpmath.nstr(margin, PROBABILITY_DIGITS, strip_zeros=False)
     return LandauerVerdict(True, satisfied, margin_exact, margin_decimal)
-
-
-@dataclass(frozen=True)
-class InfoBalanceVerdict:
-    """Outcome of the information-balance inequality on a natural process."""
-
-    satisfied: bool
-    delta_mean: object
-    delta_shannon: object
-    slack: object
-
-
-def info_balance_check(a: Eidostate, b: Eidostate, oracle: ModelOracle) -> InfoBalanceVerdict:
-    """Any decrease in Shannon information along a natural process is
-    paid for by a rise in mean state entropy: the slack is S(B) - S(A)."""
-    if not oracle.arrow(a, b):
-        raise ImpossibleProcessError("the process is not natural")
-    entropy_a = entropy_uniform(a, oracle)
-    entropy_b = entropy_uniform(b, oracle)
-    report_a = shannon_decomposition(a, oracle)
-    report_b = shannon_decomposition(b, oracle)
-    with mpmath.workprec(DEFAULT_BITS):
-        delta_mean = report_b.mean_state_entropy - report_a.mean_state_entropy
-        delta_shannon = report_b.shannon_term - report_a.shannon_term
-        slack = delta_mean + delta_shannon
-    return InfoBalanceVerdict(
-        satisfied=compare_entropy(entropy_b, entropy_a) is not Comparison.LESS,
-        delta_mean=delta_mean,
-        delta_shannon=delta_shannon,
-        slack=slack,
-    )
-
-
-# -- process algebra --------------------------------------------------
-
-
-def process_sum(p1: Process, p2: Process) -> Process:
-    return Process(
-        initial=combine(p1.initial, p2.initial),
-        final=combine(p1.final, p2.final),
-    )
-
-
-def process_negate(p: Process) -> Process:
-    return Process(initial=p.final, final=p.initial)
-
-
-def process_equivalent(
-    p1: Process, p2: Process, pad_candidates: Sequence[StateExpr]
-) -> bool:
-    """Bounded search for paddings making both endpoints similar.
-
-    True is conclusive; False only means no witness was found among the
-    candidates (plus the direct no-padding comparison).
-    """
-    choices: Tuple = (None,) + tuple(pad_candidates)
-    for x, y in ((x, y) for x in choices for y in choices):
-        left_i = p1.initial if x is None else combine(p1.initial, singleton(x))
-        left_f = p1.final if x is None else combine(p1.final, singleton(x))
-        right_i = p2.initial if y is None else combine(p2.initial, singleton(y))
-        right_f = p2.final if y is None else combine(p2.final, singleton(y))
-        if similar(left_i, right_i) and similar(left_f, right_f):
-            return True
-    return False
-
-
-def adiabatically_accessible(
-    a: StateExpr, b: StateExpr, oracle: ModelOracle
-) -> bool:
-    """Reachability with only mechanical assistance on either side."""
-    family: Tuple = (None,) + tuple(oracle.mechanical_family())
-    sa, sb = singleton(a), singleton(b)
-    compensable = False
-    comp_a = oracle.components(a)
-    comp_b = oracle.components(b)
-    for left in family:
-        left_comp = _padded_components(oracle, comp_a, left)
-        for right in family:
-            right_comp = _padded_components(oracle, comp_b, right)
-            if left_comp != right_comp:
-                continue
-            compensable = True
-            parts_a = ((sa, 1),) if left is None else ((sa, 1), (singleton(left), 1))
-            parts_b = ((sb, 1),) if right is None else ((sb, 1), (singleton(right), 1))
-            if oracle.arrow_combined(parts_a, parts_b):
-                return True
-    if not compensable:
-        raise SearchBoundExceeded(
-            "no mechanical padding in the bounded family matches the contents"
-        )
-    return False
-
-
-def _padded_components(oracle, base: tuple, pad: Optional[StateExpr]) -> tuple:
-    if pad is None:
-        return base
-    extra = oracle.components(pad)
-    return tuple(x + y for x, y in zip(base, extra))

@@ -36,6 +36,10 @@ the cap raises ``PrecisionExhausted`` rather than guessing.  ``floor``
 is one such comparison against an integer; ``interval`` is one
 logarithm of the enclosure of 2^value, and decimals and floats are read
 from it.
+
+mpmath bounds each 2^f and reads decimals and floats.  The functions
+that call it import it themselves, so values whose comparisons are
+decided without the ladder never load it.
 """
 
 from __future__ import annotations
@@ -47,9 +51,6 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator
-
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
 
 #: Environment variable naming the interval-precision cap in bits.
 MAX_BITS_ENV_VAR = "EIDOTHERMO_MAX_BITS"
@@ -359,6 +360,8 @@ _CONTEXTS: dict = {}
 def _context(bits: int):
     ctx = _CONTEXTS.get(bits)
     if ctx is None:
+        from mpmath.ctx_iv import MPIntervalContext
+
         ctx = MPIntervalContext()
         ctx.prec = bits
         _CONTEXTS[bits] = ctx
@@ -464,6 +467,8 @@ def decimal_of(value: ExactEntropy, digits: int = 30) -> str:
     """Decimal rendering of an exact entropy to the given significant digits."""
     if digits < 1:
         raise ValueError("digits must be positive")
+    import mpmath
+
     cap = max_precision_bits()
     # Target enough slack that the interval width cannot disturb the
     # requested digits.
@@ -484,6 +489,8 @@ def decimal_of(value: ExactEntropy, digits: int = 30) -> str:
 
 def entropy_mpf(value: ExactEntropy, bits: int):
     """The value as an mpmath float computed at the given precision."""
+    import mpmath
+
     box = value.interval(bits)
     with mpmath.workprec(bits):
         return (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-import mpmath
-
 from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
 from .states import Atom, Eidostate, Pair, StateExpr, prime_factors
@@ -156,14 +154,6 @@ class MacroRegistry:
         return ExactEntropy(self.s_value(m) for m in e)
 
 
-@dataclass(frozen=True)
-class NUDecomposition:
-    """Prime factors split into non-uniform and uniform multisets."""
-
-    non_uniform: Counter
-    uniform: Counter
-
-
 def _right_comb(leaf: Atom, n: int) -> StateExpr:
     expr: StateExpr = leaf
     for _ in range(n - 1):
@@ -240,10 +230,6 @@ class MacroModel(ModelOracle):
             part = entropies[prime] * mult
             total = part if total is None else total + part
         return total
-
-    def nu_decompose(self, e: Eidostate) -> NUDecomposition:
-        non_uniform, uniform, _, _ = self._walk(((e, 1),))
-        return NUDecomposition(non_uniform, uniform)
 
     # -- the arrow ----------------------------------------------------
 
@@ -409,6 +395,8 @@ def _random_shape(rng: random.Random, leaves) -> StateExpr:
 
 def _nearest_on_grid(value: ExactEntropy, n: int, denominator: int) -> Fraction:
     """The fraction k/denominator nearest to value/n, clamped to [0, 1]."""
+    import mpmath
+
     with mpmath.workprec(256):
         numerator = int(mpmath.nint(entropy_mpf(value, 256) / n * denominator))
     return Fraction(min(max(numerator, 0), denominator), denominator)

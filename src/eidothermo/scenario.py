@@ -20,6 +20,9 @@ previously defined states or atoms.
 Every diagnostic carries the offending line number.  Serialization
 emits the same grammar, and reparsing the output reproduces the
 scenario exactly.
+
+The quantum model is imported only when a quantum scenario is parsed
+or its model is built, so macro scenarios never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from .macro import (
     LAMBDA_DENOMINATOR_CAP,
@@ -37,14 +40,10 @@ from .macro import (
     RECORD_ATOM_ID,
 )
 from .oracle import ModelOracle
-from .quantum import (
-    UNIT_ATOM_LABEL,
-    QAtomDef,
-    QuantumModel,
-    QuantumRegistry,
-    _minimal_length,
-)
 from .states import Atom, Eidostate, Pair, StateExpr, singleton
+
+if TYPE_CHECKING:
+    from .quantum import QAtomDef
 
 __all__ = [
     "MAX_EXPR_NESTING",
@@ -105,6 +104,8 @@ class Scenario:
         """A fresh model populated with exactly this scenario's atoms."""
         if self.model == "macro":
             return MacroModel(MacroRegistry(self.atom_defs))
+        from .quantum import QuantumModel, QuantumRegistry
+
         return QuantumModel(QuantumRegistry(self.atom_defs))
 
     def atom_names(self) -> Tuple[str, ...]:
@@ -330,6 +331,8 @@ class _Parser:
         self.atoms[name] = atom
 
     def parse_quantum_atom(self, number: int, line: str) -> None:
+        from .quantum import UNIT_ATOM_LABEL, QAtomDef, _minimal_length
+
         m = _QUANTUM_ATOM_RE.match(line)
         if m is None:
             if _MACRO_ATOM_RE.match(line):

@@ -390,6 +390,38 @@ def test_cli_import_loads_no_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_exact_commands_load_no_mpmath_harness_or_quantum(szilard):
+    # classify, irrev and demon decide szilard.txt with rational
+    # arithmetic alone, so a cold command should import none of these.
+    commands = [["classify", "vr", "Final"], ["irrev", "v0", "v"], ["demon", "r", "Ib"]]
+    code = (
+        "import sys\n"
+        "from eidothermo import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main([*argv, '--scenario', sys.argv[1]]) == 0\n"
+        "print([m for m in ('mpmath', 'eidothermo.harness', 'eidothermo.quantum')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, szilard], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == ["natural irreversible", "bracket: [1/1, 1/1]", "width: 0/1",
+                         "minimal information-state size: 1"]
+    assert lines[4:] == ["[]"]
+
+
+def test_package_import_loads_no_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eidothermo; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_argparse_exit_codes(szilard):
     with pytest.raises(SystemExit) as info:
         cli.main([])

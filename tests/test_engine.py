@@ -17,28 +17,21 @@ from eidothermo.engine import (
     IrreversibilityEstimate,
     MinInfoStatus,
     NotUniformError,
-    SearchBoundExceeded,
     _backward_holds,
     _forward_holds,
     _gallop,
-    adiabatically_accessible,
     classify,
     conditional_probability,
     demonically_possible,
     entropic_probability,
     entropy_uniform,
     gibbs_gap,
-    info_balance_check,
     irreversibility_estimate,
     landauer_check,
     min_information_to_transform,
-    process_equivalent,
-    process_negate,
-    process_sum,
     shannon_decomposition,
 )
 from eidothermo.exact import ExactEntropy
-from eidothermo.harness import MutantFlippedEntropyOrder
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import ModelOracle
 from eidothermo.quantum import QuantumModel
@@ -741,87 +734,6 @@ def test_landauer_quantum(quantum):
     assert verdict.margin_exact == 0
     verdict = landauer_check(Atom("u"), Atom("q3"), quantum)
     assert not verdict.applicable or verdict.satisfied
-
-
-def test_info_balance_equality_at_erasure(macro):
-    a = combine(singleton(S0), macro.make_bit_state())
-    b = singleton(S1)
-    verdict = info_balance_check(a, b, macro)
-    assert verdict.satisfied
-    assert abs(verdict.slack) < 1e-30
-    assert float(verdict.delta_shannon) == pytest.approx(-1.0, abs=1e-30)
-
-
-def test_info_balance_identity(macro):
-    e = Eidostate([S0, S1])
-    verdict = info_balance_check(e, e, macro)
-    assert verdict.satisfied and abs(verdict.slack) < 1e-30
-
-
-def test_info_balance_requires_natural(macro):
-    with pytest.raises(ImpossibleProcessError):
-        info_balance_check(singleton(S1), singleton(S0), macro)
-
-
-def test_info_balance_verdict_is_exact():
-    # The entropy-flipping mutant lets s_{1/10^10} fall to s_0: the slack
-    # S(B) - S(A) is -10^-10, a violation however small.
-    model = MutantFlippedEntropyOrder()
-    a = singleton(model.registry.ensure_s_atom(Fraction(1, 10**10)))
-    b = singleton(model.registry.ensure_s_atom(Fraction(0)))
-    verdict = info_balance_check(a, b, model)
-    assert verdict.satisfied is False
-    assert float(verdict.slack) == pytest.approx(-1e-10)
-
-
-def test_process_algebra_structural():
-    p1 = Process(singleton(S0), singleton(S1))
-    p2 = Process(singleton(SH), singleton(R))
-    total = process_sum(p1, p2)
-    assert total.initial == combine(p1.initial, p2.initial)
-    assert process_negate(p1) == Process(singleton(S1), singleton(S0))
-
-
-def test_process_equivalence_zero_element(macro):
-    p = Process(singleton(S0), singleton(S1))
-    zero = Process(singleton(SH), singleton(SH))
-    padded = process_sum(p, zero)
-    assert process_equivalent(padded, p, [SH, S0])
-
-
-def test_process_plus_negation_is_zero():
-    p = Process(singleton(S0), singleton(S1))
-    total = process_sum(p, process_negate(p))
-    zero = Process(singleton(Pair(S0, S1)), singleton(Pair(S0, S1)))
-    assert process_equivalent(total, zero, [])
-
-
-def test_process_equivalence_not_found_is_false():
-    p1 = Process(singleton(S0), singleton(S1))
-    p2 = Process(singleton(S1), singleton(S0))
-    assert not process_equivalent(p1, p2, [])
-
-
-def test_adiabatic_macro_reduction(macro):
-    rng = random.Random(37)
-    reg = macro.registry
-    for _ in range(40):
-        a = macro.random_state_with_content(rng, rng.randint(0, 3))
-        b = macro.random_state_with_content(rng, rng.randint(0, 3))
-        got = adiabatically_accessible(a, b, macro)
-        assert got == (reg.s_value(a) <= reg.s_value(b))
-
-
-def test_adiabatic_identity_and_blocked(macro):
-    assert adiabatically_accessible(S1, S1, macro)
-    assert not adiabatically_accessible(S1, S0, macro)
-    with pytest.raises(SearchBoundExceeded):
-        adiabatically_accessible(R, _fold(S1, 10), macro)
-
-
-def test_adiabatic_quantum_is_dimension_order(quantum):
-    assert adiabatically_accessible(Atom("q2"), Atom("q5"), quantum)
-    assert not adiabatically_accessible(Atom("q5"), Atom("q2"), quantum)
 
 
 def _fold(atom, n):
