@@ -6,11 +6,15 @@ entropy decomposition, the Gibbs gap, the Dedekind-cut irreversibility
 estimator, demon planning (minimum information to enable a
 transformation) and the Landauer check.
 
-Probabilities, decompositions, the Gibbs gap and the Landauer margin
-are mpmath numbers at a fixed DEFAULT_BITS (128) of working precision;
-the functions that compute them import mpmath themselves, so
-classification, the irreversibility bracket and demon planning never
-load it.  The Landauer verdict is an exact comparison.
+Probabilities and the decomposition read the weights 2^S(m) from the
+exact integer enclosures and are evaluated once in interval arithmetic
+at a fixed DEFAULT_BITS (128); each number is the midpoint of its
+certified interval, or exactly 0 when the interval contains 0, and the
+residual of S(E) = <S> + H is certified.  The Gibbs gap and the
+Landauer margin are mpmath numbers at the same precision.  The
+functions that compute these load mpmath, so classification, the
+irreversibility bracket and demon planning never do.  The Landauer
+verdict is an exact comparison.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
@@ -30,7 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
+from .exact import (
+    Comparison,
+    ExactEntropy,
+    _context,
+    compare_entropy,
+    entropy_mpf,
+    point,
+)
 from .oracle import InformationState, ModelOracle
 from .states import (
     Eidostate,
@@ -75,19 +86,6 @@ def entropy_uniform(e: Eidostate, oracle: ModelOracle) -> ExactEntropy:
 # -- probabilities ----------------------------------------------------
 
 
-def _power_sum(value: ExactEntropy):
-    """2 raised to the value, summed under the ambient working precision."""
-    import mpmath
-
-    total = mpmath.mpf(0)
-    for x in value.exponents:
-        if x.denominator == 1:
-            total += mpmath.mpf(2) ** int(x)
-        else:
-            total += mpmath.mpf(2) ** (mpmath.mpf(x.numerator) / x.denominator)
-    return total
-
-
 def _to_mpf(value):
     import mpmath
 
@@ -97,8 +95,8 @@ def _to_mpf(value):
 
 
 def _weights(members: Sequence[StateExpr], oracle: ModelOracle) -> list:
-    """2^S(m) for each member, in the given order, at the ambient precision."""
-    return [_power_sum(oracle.state_entropy(m)) for m in members]
+    """Certified intervals of 2^S(m) for each member, in the given order."""
+    return [oracle.state_entropy(m).power_interval(DEFAULT_BITS) for m in members]
 
 
 def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle):
@@ -117,63 +115,62 @@ def conditional_probability(
     Weights are summed in e's member order, so results do not depend on
     set iteration order.
     """
-    import mpmath
-
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     set_a, set_b = set(a), set(b)
     given = [m for m in e.members if m in set_a]
     if not given:
         raise ValueError("conditioning set does not meet the eidostate")
-    with mpmath.workprec(DEFAULT_BITS):
-        weights = _weights(given, oracle)
-        numer = sum((w for m, w in zip(given, weights) if m in set_b), mpmath.mpf(0))
-        return numer / sum(weights, mpmath.mpf(0))
+    zero = _context(DEFAULT_BITS).mpf(0)
+    weights = _weights(given, oracle)
+    numer = sum((w for m, w in zip(given, weights) if m in set_b), zero)
+    return point(numer / sum(weights, zero), DEFAULT_BITS)
 
 
 @dataclass(frozen=True)
 class ProbabilityReport:
     """Entropic probabilities of a uniform eidostate and the split of its
-    entropy into mean member entropy plus Shannon information."""
+    entropy into mean member entropy plus Shannon information.
+
+    Each number is read from its certified interval by ``exact.point``;
+    ``residual_interval`` encloses S(E) - (<S> + H).
+    """
 
     support: Dict[StateExpr, object]
     entropy_total: object
     mean_state_entropy: object
     shannon_term: object
+    residual_interval: object
 
     def residual(self):
-        import mpmath
-
-        with mpmath.workprec(DEFAULT_BITS):
-            return abs(
-                self.entropy_total - (self.mean_state_entropy + self.shannon_term)
-            )
+        """|S(E) - (<S> + H)|: exactly 0 when its interval contains 0."""
+        return abs(point(self.residual_interval, DEFAULT_BITS))
 
 
 def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
-    """Probabilities plus the identity S(E) = <S> + H evaluated at
-    DEFAULT_BITS of working precision."""
-    import mpmath
-
+    """Probabilities plus the identity S(E) = <S> + H, each evaluated once
+    in interval arithmetic at DEFAULT_BITS."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
+    ctx = _context(DEFAULT_BITS)
     members = e.members
-    with mpmath.workprec(DEFAULT_BITS):
-        weights = _weights(members, oracle)
-        total_weight = sum(weights, mpmath.mpf(0))
-        support = {m: w / total_weight for m, w in zip(members, weights)}
-        mean = mpmath.mpf(0)
-        shannon = mpmath.mpf(0)
-        for m, p in support.items():
-            mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
-            if p > 0:
-                shannon -= p * mpmath.log(p, 2)
-        total = mpmath.log(total_weight, 2)
+    weights = _weights(members, oracle)
+    total_weight = sum(weights, ctx.mpf(0))
+    log2 = ctx.log(2)
+    support = {}
+    mean = shannon = ctx.mpf(0)
+    for m, w in zip(members, weights):
+        p = w / total_weight
+        support[m] = point(p, DEFAULT_BITS)
+        mean += p * (ctx.log(w) / log2)
+        shannon -= p * (ctx.log(p) / log2)
+    total = ctx.log(total_weight) / log2
     return ProbabilityReport(
         support=support,
-        entropy_total=total,
-        mean_state_entropy=mean,
-        shannon_term=shannon,
+        entropy_total=point(total, DEFAULT_BITS),
+        mean_state_entropy=point(mean, DEFAULT_BITS),
+        shannon_term=point(shannon, DEFAULT_BITS),
+        residual_interval=total - (mean + shannon),
     )
 
 

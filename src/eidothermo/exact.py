@@ -33,9 +33,11 @@ positive.  Otherwise the sign is read from the enclosure at escalating
 precision: 128 bits doubling up to a cap, default 4096, overridable via
 the ``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at
 the cap raises ``PrecisionExhausted`` rather than guessing.  ``floor``
-is one such comparison against an integer; ``interval`` is one
-logarithm of the enclosure of 2^value, and decimals and floats are read
-from it.
+is one such comparison against an integer; ``power_interval`` is the
+enclosure of 2^value as an interval and ``interval`` its logarithm, and
+decimals and floats are read from it.  ``point`` reads one number from
+a certified interval: exactly 0 when the interval contains 0, otherwise
+its midpoint.
 
 mpmath bounds each 2^f and reads decimals and floats.  The functions
 that call it import it themselves, so values whose comparisons are
@@ -332,13 +334,18 @@ class ExactEntropy:
             return k - 1
         return k
 
+    def power_interval(self, bits: int):
+        """Enclosing interval of 2^value at the given working precision:
+        the integer enclosure scaled by 2^(s - bits)."""
+        d, s, terms = _form(self._v)
+        ctx = _context(bits)
+        return ctx.mpf(_enclosure(bits, d, terms)) * ctx.mpf(2) ** (s - bits)
+
     def interval(self, bits: int):
         """Enclosing interval of the value at the given working precision:
         the log of the enclosure of 2^value."""
-        d, s, terms = _form(self._v)
         ctx = _context(bits)
-        total = ctx.mpf(_enclosure(bits, d, terms)) * ctx.mpf(2) ** (s - bits)
-        return ctx.log(total) / ctx.log(2)
+        return ctx.log(self.power_interval(bits)) / ctx.log(2)
 
     def decimal(self, digits: int = 30) -> str:
         """The value as a decimal string with the given significant digits."""
@@ -487,10 +494,17 @@ def decimal_of(value: ExactEntropy, digits: int = 30) -> str:
     )
 
 
-def entropy_mpf(value: ExactEntropy, bits: int):
-    """The value as an mpmath float computed at the given precision."""
+def point(box, bits: int):
+    """The number a certified interval stands for: exactly 0 when the
+    interval contains 0, otherwise its midpoint at the given precision."""
     import mpmath
 
-    box = value.interval(bits)
+    if 0 in box:
+        return mpmath.mpf(0)
     with mpmath.workprec(bits):
         return (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
+
+
+def entropy_mpf(value: ExactEntropy, bits: int):
+    """The value as an mpmath float computed at the given precision."""
+    return point(value.interval(bits), bits)

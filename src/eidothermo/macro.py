@@ -154,14 +154,6 @@ class MacroRegistry:
         return ExactEntropy(self.s_value(m) for m in e)
 
 
-@dataclass(frozen=True)
-class NUDecomposition:
-    """Prime factors split into non-uniform and uniform multisets."""
-
-    non_uniform: Counter
-    uniform: Counter
-
-
 def _right_comb(leaf: Atom, n: int) -> StateExpr:
     expr: StateExpr = leaf
     for _ in range(n - 1):
@@ -238,10 +230,6 @@ class MacroModel(ModelOracle):
             part = entropies[prime] * mult
             total = part if total is None else total + part
         return total
-
-    def nu_decompose(self, e: Eidostate) -> NUDecomposition:
-        non_uniform, uniform, _, _ = self._walk(((e, 1),))
-        return NUDecomposition(non_uniform, uniform)
 
     # -- the arrow ----------------------------------------------------
 

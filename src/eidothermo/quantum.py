@@ -36,11 +36,6 @@ DEFAULT_QUBIT_BUDGET = 3
 MAX_AGENT_DIM = 8
 MAX_TOTAL_DIM = 64
 
-IDEMPOTENCE_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-12
-TRACE_TOL = 1e-9
-RESIDUAL_TOL = 1e-10
-
 
 class RealizationBudgetError(ValueError):
     """A matrix realization was requested beyond the desk-scale caps."""

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eidothermo.cli import _mpf_decimal
 from eidothermo.engine import (
+    DEFAULT_BITS,
     ImpossibleProcessError,
     IrreversibilityEstimate,
     MinInfoStatus,
@@ -31,7 +33,7 @@ from eidothermo.engine import (
     min_information_to_transform,
     shannon_decomposition,
 )
-from eidothermo.exact import ExactEntropy
+from eidothermo.exact import ExactEntropy, entropy_mpf
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import ModelOracle
 from eidothermo.quantum import QuantumModel
@@ -215,6 +217,110 @@ def test_tilted_entropy_gives_same_probabilities(macro):
         base = entropic_probability(member, e, macro)
         shifted = entropic_probability(member, e, tilted)
         assert abs(base - shifted) < mpmath.mpf(10) ** -30
+
+
+def _power_sum(value):
+    """2 raised to the value, summed from its exponent multiset under the
+    ambient working precision."""
+    total = mpmath.mpf(0)
+    for x in value.exponents:
+        if x.denominator == 1:
+            total += mpmath.mpf(2) ** int(x)
+        else:
+            total += mpmath.mpf(2) ** (mpmath.mpf(x.numerator) / x.denominator)
+    return total
+
+
+def _reference_decomposition(e, oracle):
+    """The decomposition the enclosure replaced: weights from the exponent
+    multisets, then probabilities, <S>, H and log2 of the total weight in
+    plain mpf at DEFAULT_BITS.  Returns the support and the three sums."""
+    members = e.members
+    with mpmath.workprec(DEFAULT_BITS):
+        weights = [_power_sum(oracle.state_entropy(m)) for m in members]
+        total_weight = sum(weights, mpmath.mpf(0))
+        support = {m: w / total_weight for m, w in zip(members, weights)}
+        mean = mpmath.mpf(0)
+        shannon = mpmath.mpf(0)
+        for m, p in support.items():
+            mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
+            if p > 0:
+                shannon -= p * mpmath.log(p, 2)
+        total = mpmath.log(total_weight, 2)
+    return support, mean, shannon, total
+
+
+def _assert_matches_reference(e, oracle):
+    """Every printed number equals the reference's bytes, and the certified
+    residual interval contains 0."""
+    support, mean, shannon, total = _reference_decomposition(e, oracle)
+    report = shannon_decomposition(e, oracle)
+    for m in e.members:
+        want = _mpf_decimal(support[m])
+        assert _mpf_decimal(report.support[m]) == want, (e, m)
+        assert _mpf_decimal(entropic_probability(m, e, oracle)) == want, (e, m)
+    assert _mpf_decimal(report.mean_state_entropy) == _mpf_decimal(mean), e
+    assert _mpf_decimal(report.shannon_term) == _mpf_decimal(shannon), e
+    assert _mpf_decimal(report.entropy_total) == _mpf_decimal(total), e
+    assert 0 in report.residual_interval, e
+    assert report.residual() == 0
+
+
+def _fresh_lambda_eidostate(model, rng):
+    """A uniform eidostate of content q whose atoms take fresh lambdas
+    (dyadic denominators up to 2^16), some members padded by a record."""
+    q = rng.randint(1, 3)
+    members = set()
+    for _ in range(rng.randint(1, 5)):
+        leaves = [model.registry.ensure_s_atom(model.fresh_lambda(rng)) for _ in range(q)]
+        leaves += [model.make_record()] * rng.randint(0, 1)
+        expr = leaves[0]
+        for leaf in leaves[1:]:
+            expr = Pair(expr, leaf)
+        members.add(expr)
+    return Eidostate(members)
+
+
+@given(seed=st.integers(0, 2**32 - 1), fresh=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_decomposition_matches_power_sum_reference_on_macro(seed, fresh):
+    model = MacroModel()
+    rng = random.Random(seed)
+    if fresh:
+        e = _fresh_lambda_eidostate(model, rng)
+    else:
+        e = model.random_uniform_eidostate(rng, 6, 4)
+    assert model.is_uniform(e)
+    _assert_matches_reference(e, model)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sets(st.integers(1, 64), min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_decomposition_matches_power_sum_reference_on_quantum(seed, dims):
+    # Dimensions stay small: when one weight outweighs another by 10^9 or
+    # more, the Shannon term is small enough that its 30th printed digit
+    # lies below the 128-bit accuracy of either path, and the two paths
+    # may round it differently (see the large-dimension test below).
+    model = QuantumModel()
+    _assert_matches_reference(model.random_uniform_eidostate(random.Random(seed), 6, 4), model)
+    _assert_matches_reference(
+        Eidostate(model.registry.ensure_dim(d) for d in dims), model
+    )
+
+
+@given(dims=st.sets(st.integers(1, 10**40), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_decomposition_residual_is_certified_at_large_dimensions(dims):
+    model = QuantumModel()
+    e = Eidostate(model.registry.ensure_dim(d) for d in dims)
+    report = shannon_decomposition(e, model)
+    assert 0 in report.residual_interval
+    assert report.residual() == 0
+    with mpmath.workprec(DEFAULT_BITS):
+        assert abs(sum(report.support.values()) - 1) < mpmath.mpf(2) ** -120
 
 
 def test_gibbs_gap_zero_at_entropic(macro):

@@ -9,8 +9,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from eidothermo.engine import entropy_uniform
-from eidothermo.exact import entropy_mpf
+from eidothermo import harness
+from eidothermo.engine import DEFAULT_BITS, entropy_uniform, shannon_decomposition
+from eidothermo.exact import _context, entropy_mpf
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -20,6 +21,7 @@ from eidothermo.harness import (
     MutantWeightedRecords,
     SuiteConfig,
     _check_axiom_9,
+    _check_theorem_17,
     run_axiom_report,
     run_axiom_suite,
     run_theorem_report,
@@ -202,3 +204,25 @@ def test_axiom_9_tolerance_verdict_is_exact():
     missed = [o for o in outcomes if o is not None]
     assert missed
     assert all("beyond tolerance" in observed for _, observed in missed)
+
+
+def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypatch):
+    """A report whose entropy misses <S> + H by 2^-100 is a counterexample:
+    its certified residual interval excludes 0.  A float tolerance of
+    1e-12 let such a report pass."""
+    config = SuiteConfig()
+    offset = _context(DEFAULT_BITS).mpf(2) ** -100
+
+    def off_by_offset(e, oracle):
+        report = shannon_decomposition(e, oracle)
+        return dataclasses.replace(
+            report, residual_interval=report.residual_interval + offset
+        )
+
+    for model in (MacroModel(), QuantumModel()):
+        assert _check_theorem_17(model, config, random.Random(7)) is None
+        monkeypatch.setattr(harness, "shannon_decomposition", off_by_offset)
+        outcome = _check_theorem_17(model, config, random.Random(7))
+        monkeypatch.undo()
+        assert outcome is not None
+        assert outcome[1].endswith("e-31 is certified nonzero"), outcome

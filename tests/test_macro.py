@@ -86,26 +86,6 @@ def test_uniformity_examples(model):
     assert reg.is_uniform(singleton(Pair(R, S1)))
 
 
-def test_nu_decompose_uniform_has_no_n_part(model):
-    nu = model.nu_decompose(Eidostate([S0, S1]))
-    assert not nu.non_uniform
-    assert sum(nu.uniform.values()) == 1
-
-
-def test_nu_decompose_mixed_prime(model):
-    e = Eidostate([R, S0])
-    nu = model.nu_decompose(e)
-    assert not nu.uniform
-    assert nu.non_uniform == {e: 1}
-
-
-def test_nu_decompose_product(model):
-    e = combine(Eidostate([R, S0]), Eidostate([S0, S1]))
-    nu = model.nu_decompose(e)
-    assert nu.non_uniform == {Eidostate([R, S0]): 1}
-    assert nu.uniform == {Eidostate([S0, S1]): 1}
-
-
 def test_entropy_exact_bit_state(model):
     bit = model.make_bit_state()
     assert model.registry.entropy_exact(bit) == ExactEntropy.from_rational(1)
