@@ -46,6 +46,10 @@ MECHANICAL_ATOM_ID = "s_0"
 
 ZERO = ExactEntropy.from_rational(0)
 
+#: Entropies of the standard unit-content atoms, in the order the
+#: generators draw from.
+STANDARD_LAMBDAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
 #: A prime factor: an eidostate, or an information state known by its size.
 Prime = Union[Eidostate, InformationState]
 
@@ -82,6 +86,7 @@ class MacroRegistry:
         self._atoms: Dict[str, AtomDef] = {}
         self._q_cache: Dict[StateExpr, int] = {}
         self._s_cache: Dict[StateExpr, Fraction] = {}
+        self._s_atoms: Dict[Fraction, Atom] = {}
         for a in atoms:
             self.register(a)
 
@@ -105,17 +110,20 @@ class MacroRegistry:
 
     def ensure_s_atom(self, lam: Fraction) -> Atom:
         """The unit-content atom with entropy lam, registering it if new."""
-        lam = Fraction(lam)
-        atom_id = s_atom_id(lam)
-        if atom_id not in self._atoms:
-            self.register(AtomDef(atom_id, 1, lam))
-        return Atom(atom_id)
+        atom = self._s_atoms.get(lam)
+        if atom is None:
+            lam = Fraction(lam)
+            atom_id = s_atom_id(lam)
+            if atom_id not in self._atoms:
+                self.register(AtomDef(atom_id, 1, lam))
+            atom = self._s_atoms[lam] = Atom(atom_id)
+        return atom
 
     @classmethod
     def standard(cls) -> "MacroRegistry":
         """The record atom plus unit atoms at entropy 0, 1/4, 1/2, 3/4, 1."""
         reg = cls([AtomDef(RECORD_ATOM_ID, 0, Fraction(0))])
-        for lam in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        for lam in STANDARD_LAMBDAS:
             reg.ensure_s_atom(lam)
         return reg
 
@@ -355,9 +363,7 @@ class MacroModel(ModelOracle):
         if roll < 0.2:
             return Atom(RECORD_ATOM_ID)
         if roll < 0.85:
-            lam = rng.choice(
-                [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-            )
+            lam = rng.choice(STANDARD_LAMBDAS)
         else:
             lam = self.fresh_lambda(rng)
         return self.registry.ensure_s_atom(lam)
@@ -366,9 +372,9 @@ class MacroModel(ModelOracle):
         self, rng: random.Random, q: int, extra_records: int = 2
     ) -> StateExpr:
         """A random state carrying exactly the given content."""
-        leaves = [self.registry.ensure_s_atom(rng.choice(
-            [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-        )) for _ in range(q)]
+        leaves = [
+            self.registry.ensure_s_atom(rng.choice(STANDARD_LAMBDAS)) for _ in range(q)
+        ]
         leaves += [Atom(RECORD_ATOM_ID)] * rng.randint(0 if leaves else 1, extra_records)
         rng.shuffle(leaves)
         return _random_shape(rng, leaves)

@@ -3,6 +3,11 @@
 A state expression is a finite binary tree whose leaves are named atoms;
 pairing is the only combination form and is deliberately non-commutative
 and non-associative, so ``(a + b)`` and ``(b + a)`` are distinct trees.
+Trees are hash-consed: ``Atom(...)`` and ``Pair(...)`` return the one
+live object for their tree, looked up in weak tables (atoms by name,
+pairs by the identities of their children), so a table holds only the
+trees still in use.  Equality of trees is therefore identity, and each
+node computes its hash once, when it is built, from its children's.
 An eidostate is a finite nonempty set of state expressions; combining two
 eidostates forms the Cartesian product of their members.  On top of that
 sit prime factorization with respect to the product, the similarity
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -31,7 +38,8 @@ class ResourceCapError(RuntimeError):
 
 
 class StateExpr:
-    """Base class for state expression trees.  Instances are immutable."""
+    """Base class for state expression trees.  Instances are immutable and
+    unique per tree, so ``==`` is ``is``."""
 
     __slots__ = ()
 
@@ -66,16 +74,29 @@ class StateExpr:
 class Atom(StateExpr):
     """A leaf state named by an opaque string identifier."""
 
-    __slots__ = ("atom_id", "_key")
+    __slots__ = ("atom_id", "_key", "_hash", "__weakref__")
 
-    def __init__(self, atom_id: str):
+    def __new__(cls, atom_id: str):
         if not isinstance(atom_id, str) or not atom_id:
             raise TypeError("atom_id must be a nonempty string")
-        object.__setattr__(self, "atom_id", atom_id)
-        object.__setattr__(self, "_key", ("a", atom_id))
+        atom = _ATOMS.get(atom_id)
+        if atom is None:
+            with _INTERN_LOCK:
+                atom = _ATOMS.get(atom_id)
+                if atom is None:
+                    atom = object.__new__(cls)
+                    key = ("a", atom_id)
+                    object.__setattr__(atom, "atom_id", atom_id)
+                    object.__setattr__(atom, "_key", key)
+                    object.__setattr__(atom, "_hash", hash(key))
+                    _ATOMS[atom_id] = atom
+        return atom
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
+
+    def __reduce__(self):
+        return Atom, (self.atom_id,)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -91,11 +112,8 @@ class Atom(StateExpr):
     def n_leaves(self) -> int:
         return 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Atom) and self.atom_id == other.atom_id
-
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Atom({self.atom_id!r})"
@@ -107,18 +125,30 @@ class Atom(StateExpr):
 class Pair(StateExpr):
     """The ordered combination of two state expressions."""
 
-    __slots__ = ("left", "right", "_key", "_hash")
+    __slots__ = ("left", "right", "_key", "_hash", "__weakref__")
 
-    def __init__(self, left: StateExpr, right: StateExpr):
+    def __new__(cls, left: StateExpr, right: StateExpr):
         if not isinstance(left, StateExpr) or not isinstance(right, StateExpr):
             raise TypeError("Pair components must be StateExpr")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
+        ids = (id(left), id(right))
+        pair = _PAIRS.get(ids)
+        if pair is None:
+            with _INTERN_LOCK:
+                pair = _PAIRS.get(ids)
+                if pair is None:
+                    pair = object.__new__(cls)
+                    object.__setattr__(pair, "left", left)
+                    object.__setattr__(pair, "right", right)
+                    object.__setattr__(pair, "_key", None)
+                    object.__setattr__(pair, "_hash", hash(("p", left, right)))
+                    _PAIRS[ids] = pair
+        return pair
 
     def __setattr__(self, name, value):
         raise AttributeError("Pair is immutable")
+
+    def __reduce__(self):
+        return Pair, (self.left, self.right)
 
     def sort_key(self) -> tuple:
         if self._key is None:
@@ -144,16 +174,7 @@ class Pair(StateExpr):
     def n_leaves(self) -> int:
         return self.left.n_leaves + self.right.n_leaves
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pair):
-            return False
-        if self is other:
-            return True
-        return self.left == other.left and self.right == other.right
-
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("p", self.left, self.right)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -161,6 +182,18 @@ class Pair(StateExpr):
 
     def __str__(self) -> str:
         return f"({self.left} + {self.right})"
+
+
+#: The live trees, one object each: atoms by name, and pairs by the ids
+#: of their two (themselves unique) children.  The values are weak, so a
+#: tree leaves its table when its last reference goes.  A pair's entry
+#: is removed before the pair releases its children, so the ids in a
+#: present key always belong to live children and cannot be reused.
+#: A miss re-checks and inserts under the lock, so that threads building
+#: the same new tree at once still get one object.
+_ATOMS: weakref.WeakValueDictionary[str, Atom] = weakref.WeakValueDictionary()
+_PAIRS: weakref.WeakValueDictionary[tuple, Pair] = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 class Eidostate:
@@ -192,6 +225,9 @@ class Eidostate:
     def __setattr__(self, name, value):
         raise AttributeError("Eidostate is immutable")
 
+    def __reduce__(self):
+        return Eidostate, (self._members,)
+
     @property
     def members(self) -> tuple:
         return self._members
@@ -203,7 +239,7 @@ class Eidostate:
         return len(self._members)
 
     def __contains__(self, item) -> bool:
-        return item in set(self._members)
+        return item in self._members
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Eidostate) and self._members == other._members

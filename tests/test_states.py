@@ -1,9 +1,17 @@
 """Tests for the state-expression and eidostate algebra."""
 
+import copy
+import gc
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eidothermo import states
 from eidothermo.states import (
     Atom,
     Eidostate,
@@ -43,6 +51,136 @@ def eidostates(max_size=4, max_depth=3):
     return st.builds(
         Eidostate, st.lists(exprs(max_depth), min_size=1, max_size=max_size)
     )
+
+
+def shapes(max_leaves=8):
+    """Tree descriptions: an atom name, or a (left, right) tuple of shapes."""
+    return st.recursive(
+        st.sampled_from("abcd"),
+        lambda children: st.tuples(children, children),
+        max_leaves=max_leaves,
+    )
+
+
+def build(shape):
+    if isinstance(shape, str):
+        return Atom(shape)
+    return Pair(build(shape[0]), build(shape[1]))
+
+
+class _Hashed:
+    """Stands in a tuple for a child whose hash is already known."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def reference_hash(shape) -> int:
+    """The hash formulas of structurally compared trees: ("a", id) for an
+    atom and ("p", left, right) for a pair."""
+    if isinstance(shape, str):
+        return hash(("a", shape))
+    left, right = shape
+    return hash(("p", _Hashed(reference_hash(left)), _Hashed(reference_hash(right))))
+
+
+@given(shapes())
+def test_equal_trees_are_one_object(shape):
+    assert build(shape) is build(shape)
+
+
+@given(shapes())
+def test_hash_keeps_the_structural_formula(shape):
+    assert hash(build(shape)) == reference_hash(shape)
+
+
+@given(shapes(), shapes())
+def test_identity_agrees_with_structural_equality(x, y):
+    # Nested tuples of names compare structurally.
+    assert (build(x) == build(y)) == (x == y)
+    assert (build(x) != build(y)) == (x != y)
+
+
+def test_intern_tables_hold_only_live_trees():
+    rng = random.Random(13)
+    gc.collect()
+    before = len(states._ATOMS), len(states._PAIRS)
+    trees = []
+    for i in range(10**4):
+        tree = Atom(f"t{rng.randrange(500)}")
+        for _ in range(rng.randint(1, 4)):
+            leaf = Atom(f"t{rng.randrange(500)}")
+            tree = Pair(tree, leaf) if rng.random() < 0.5 else Pair(leaf, tree)
+        trees.append(tree)
+    assert len(states._PAIRS) > before[1]
+    del trees, tree, leaf
+    gc.collect()
+    assert (len(states._ATOMS), len(states._PAIRS)) == before
+
+
+def test_threads_building_the_same_new_trees_get_one_object():
+    built = [[] for _ in range(4)]
+    start = threading.Barrier(len(built))
+
+    def build_all(out):
+        start.wait()
+        for i in range(300):
+            leaf = Atom(f"thread{i}")
+            expr = leaf
+            for _ in range(8):
+                expr = Pair(expr, leaf)
+            out.append(expr)
+
+    threads = [threading.Thread(target=build_all, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    # Switch threads as often as possible, so that two of them are likely
+    # to miss the table for the same tree at the same time.
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for out in built[1:]:
+        assert all(x is y for x, y in zip(out, built[0]))
+
+
+def test_hostile_depth_hashes_and_compares_without_recursion():
+    depth = 50_000
+
+    def right_comb():
+        expr = A
+        for _ in range(depth):
+            expr = Pair(A, expr)
+        return expr
+
+    first, second = right_comb(), right_comb()
+    expected = hash(("a", "a"))
+    for _ in range(depth):
+        expected = hash(("p", A, _Hashed(expected)))
+    assert hash(first) == hash(second) == expected
+    assert first == second
+    assert {first: "comb"}[second] == "comb"
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_return_the_same_tree(clone):
+    tree = Pair(A, Pair(B, A))
+    assert clone(A) is A
+    assert clone(tree) is tree
+    e = Eidostate([tree, C])
+    got = clone(e)
+    assert got == e and hash(got) == hash(e)
+    assert all(x is y for x, y in zip(got.members, e.members))
 
 
 def test_atom_identity_and_order():
