@@ -33,20 +33,13 @@ from eidothermo.states import combine, singleton
 
 FAST = SuiteConfig(cases_per_check=60, seed=42)
 
-#: The axiom and theorem reports of the models below at
+#: The axiom and theorem reports of the five models in ``_suite_rows`` at
 #: SuiteConfig(20, seed=42), one row per model and check.  Any change to a
 #: verdict, a counterexample or an inconclusive note moves a row.  Record
 #: it again only for a change that is meant to move suite results:
 #:
 #:     PYTHONPATH=src python tests/test_harness.py
 GOLDEN = Path(__file__).resolve().parent / "golden" / "suite_reports.json"
-GOLDEN_MODELS = (
-    MacroModel,
-    QuantumModel,
-    MutantDropContentCriterion,
-    MutantFlippedEntropyOrder,
-    MutantWeightedRecords,
-)
 
 
 def test_config_validates_bounds():
@@ -165,11 +158,17 @@ def test_counterexample_records_carry_replay_data():
 
 
 def _suite_rows() -> dict:
-    """"<model>: <check>" -> the check's case count, counterexamples and
-    inconclusive cases, as JSON values."""
+    """Rows keyed "<model>: <check>": the check's case count,
+    counterexamples and inconclusive cases, as JSON values."""
     config = SuiteConfig(cases_per_check=20, seed=42)
     rows = {}
-    for cls in GOLDEN_MODELS:
+    for cls in (
+        MacroModel,
+        QuantumModel,
+        MutantDropContentCriterion,
+        MutantFlippedEntropyOrder,
+        MutantWeightedRecords,
+    ):
         model = cls()
         for report in (run_axiom_report(model, config), run_theorem_report(model, config)):
             for result in report.results:
