@@ -109,7 +109,7 @@ def test_intern_tables_hold_only_live_trees():
     gc.collect()
     before = len(states._ATOMS), len(states._PAIRS)
     trees = []
-    for i in range(10**4):
+    for _ in range(10**4):
         tree = Atom(f"t{rng.randrange(500)}")
         for _ in range(rng.randint(1, 4)):
             leaf = Atom(f"t{rng.randrange(500)}")
@@ -160,9 +160,10 @@ def test_hostile_depth_hashes_and_compares_without_recursion():
         return expr
 
     first, second = right_comb(), right_comb()
-    expected = hash(("a", "a"))
+    leaf = _Hashed(hash(("a", "a")))
+    expected = leaf.h
     for _ in range(depth):
-        expected = hash(("p", A, _Hashed(expected)))
+        expected = hash(("p", leaf, _Hashed(expected)))
     assert hash(first) == hash(second) == expected
     assert first == second
     assert {first: "comb"}[second] == "comb"
