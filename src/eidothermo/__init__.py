@@ -11,13 +11,11 @@ from .states import (
     Atom,
     Eidostate,
     Pair,
-    PrimeFactorization,
     Process,
     ProcessType,
     ResourceCapError,
     StateExpr,
     combine,
-    disjoint_partition_check,
     n_copies,
     prime_factorize,
     similar,
@@ -34,14 +32,12 @@ __all__ = [
     "ExactEntropy",
     "Pair",
     "PrecisionExhausted",
-    "PrimeFactorization",
     "Process",
     "ProcessType",
     "ResourceCapError",
     "StateExpr",
     "combine",
     "compare_entropy",
-    "disjoint_partition_check",
     "n_copies",
     "prime_factorize",
     "similar",

@@ -228,26 +228,12 @@ class IrreversibilityEstimate:
         return self.upper - self.lower
 
 
-def _forward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
-    """q copies of <a,b> drive p bit processes."""
+def _search_sides(sa, sb, bit, srecord, q, p) -> tuple:
+    """The two factored eidostates of q copies of <a,b> alongside p bit
+    processes: a's side and b's side."""
     if p >= 0:
-        parts_a = ((sa, q), (bit, p))
-        parts_b = ((sb, q), (srecord, p))
-    else:
-        parts_a = ((sa, q), (srecord, -p))
-        parts_b = ((sb, q), (bit, -p))
-    return oracle.arrow_combined(parts_a, parts_b)
-
-
-def _backward_holds(oracle, sa, sb, bit, srecord, q, p) -> bool:
-    """p bit processes drive q copies of <a,b> in reverse."""
-    if p >= 0:
-        parts_a = ((sb, q), (srecord, p))
-        parts_b = ((sa, q), (bit, p))
-    else:
-        parts_a = ((sb, q), (bit, -p))
-        parts_b = ((sa, q), (srecord, -p))
-    return oracle.arrow_combined(parts_a, parts_b)
+        return ((sa, q), (bit, p)), ((sb, q), (srecord, p))
+    return ((sa, q), (srecord, -p)), ((sb, q), (bit, -p))
 
 
 def _gallop(holds, limit: int) -> int:
@@ -306,10 +292,14 @@ def irreversibility_estimate(
     srecord = singleton(oracle.make_record())
 
     def forward(q: int, p: int) -> bool:
-        return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
+        """q copies of <a,b> drive p bit processes."""
+        x, y = _search_sides(sa, sb, bit, srecord, q, p)
+        return oracle.arrow_combined(x, y)
 
     def backward(q: int, p: int) -> bool:
-        return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
+        """p bit processes drive q copies of <a,b> in reverse."""
+        x, y = _search_sides(sa, sb, bit, srecord, q, p)
+        return oracle.arrow_combined(y, x)
 
     # The integer part, by galloping from p = 0 with one copy.  Each |S|
     # is below |floor(S)| + 1, so for a bit process of one unit the cut

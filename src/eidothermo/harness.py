@@ -509,11 +509,7 @@ def _check_theorem_9(oracle, config, rng) -> CheckOutcome:
     ea, eb = oracle.state_entropy(a), oracle.state_entropy(b)
     if oracle.state_entropy(Pair(a, b)) != ea + eb:
         return (f"a={a!r}, b={b!r}", "entropy is not additive over the pair")
-    comp_pair = oracle.components(Pair(a, b))
-    comp_sum = tuple(
-        x + y for x, y in zip(oracle.components(a), oracle.components(b))
-    )
-    if comp_pair != comp_sum:
+    if oracle.components(Pair(a, b)) != _components_total(oracle, (a, b)):
         return (f"a={a!r}, b={b!r}", "content is not additive over the pair")
 
     got = oracle.arrow(singleton(a), singleton(b))

@@ -28,6 +28,7 @@ equivalence counts its atoms by the exact floor of the entropy.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
-from .states import Atom, Eidostate, Pair, StateExpr, prime_factors
+from .states import Atom, Eidostate, Pair, StateExpr, fold, prime_factors
 
 #: Default cap on the denominator of entropy values accepted from scenarios.
 LAMBDA_DENOMINATOR_CAP = 2**16
@@ -132,21 +133,13 @@ class MacroRegistry:
     def q_value(self, a: StateExpr) -> int:
         cached = self._q_cache.get(a)
         if cached is None:
-            if isinstance(a, Atom):
-                cached = self.get(a.atom_id).q
-            else:
-                cached = self.q_value(a.left) + self.q_value(a.right)
-            self._q_cache[a] = cached
+            cached = fold(a, self._q_cache, lambda x: self.get(x.atom_id).q, operator.add)
         return cached
 
     def s_value(self, a: StateExpr) -> Fraction:
         cached = self._s_cache.get(a)
         if cached is None:
-            if isinstance(a, Atom):
-                cached = self.get(a.atom_id).s
-            else:
-                cached = self.s_value(a.left) + self.s_value(a.right)
-            self._s_cache[a] = cached
+            cached = fold(a, self._s_cache, lambda x: self.get(x.atom_id).s, operator.add)
         return cached
 
     def is_uniform(self, e: Eidostate) -> bool:

@@ -18,13 +18,14 @@ realization, runs without loading it.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from .exact import ExactEntropy
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
-from .states import Atom, Eidostate, StateExpr
+from .states import Atom, Eidostate, StateExpr, fold
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,21 +109,14 @@ class QuantumRegistry:
     def dim(self, a: StateExpr) -> int:
         cached = self._dim_cache.get(a)
         if cached is None:
-            if isinstance(a, Atom):
-                cached = self.get(a.atom_id).dim
-            else:
-                cached = self.dim(a.left) * self.dim(a.right)
-            self._dim_cache[a] = cached
+            cached = fold(a, self._dim_cache, lambda x: self.get(x.atom_id).dim, operator.mul)
         return cached
 
     def length(self, a: StateExpr) -> int:
         cached = self._length_cache.get(a)
         if cached is None:
-            if isinstance(a, Atom):
-                cached = self.get(a.atom_id).length
-            else:
-                cached = self.length(a.left) + self.length(a.right)
-            self._length_cache[a] = cached
+            cached = fold(a, self._length_cache, lambda x: self.get(x.atom_id).length,
+                          operator.add)
         return cached
 
     def eidostate_dim(self, e: Eidostate) -> int:

@@ -13,9 +13,9 @@ free.  Macro atoms carry an integer content Q and a rational entropy
 S=p/q with 0 <= p/q <= 1; quantum atoms carry a subspace dimension and
 a qubit length with dim <= 2^len.  State expressions are built from
 atom names with parenthesized sums, `(a + b)`, nested at most
-`MAX_EXPR_NESTING` levels deep so that the recursive state algebra can
-handle every state a scenario defines.  Eidostate members name
-previously defined states or atoms.
+`MAX_EXPR_NESTING` levels deep, which keeps the recursive-descent
+parser and the ordering of deep trees within the interpreter's recursion
+limit.  Eidostate members name previously defined states or atoms.
 
 Every diagnostic carries the offending line number.  Serialization
 emits the same grammar, and reparsing the output reproduces the
@@ -52,7 +52,6 @@ __all__ = [
     "member_names",
     "parse_scenario",
     "serialize_scenario",
-    "write_state_expr",
 ]
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -71,9 +70,12 @@ _QUANTUM_RESERVED_RE = re.compile(r"^q(\d+)$")
 #: Tokens of a state expression: names, parentheses, plus signs.
 _EXPR_TOKEN_RE = re.compile(rf"\s*({_NAME}|[()+])")
 
-#: Deepest parenthesis nesting a state expression may have.  Hashing,
-#: ordering and evaluating a state recurse once per level, so much
-#: deeper expressions would exhaust the interpreter's recursion limit.
+#: Deepest parenthesis nesting a state expression may have.  The state
+#: algebra walks trees of any depth, but this recursive-descent parser
+#: descends once per level, and ordering two distinct trees compares
+#: their nested sort keys level by level down to their first difference;
+#: both would exhaust the interpreter's recursion limit on much deeper
+#: expressions.
 MAX_EXPR_NESTING = 256
 
 
@@ -129,13 +131,6 @@ class Scenario:
             return singleton(self.lookup_state(name))
         except KeyError:
             raise KeyError(f"unknown eidostate {name!r}") from None
-
-
-def write_state_expr(expr: StateExpr) -> str:
-    """The grammar form of a state expression over atom names."""
-    if isinstance(expr, Atom):
-        return expr.atom_id
-    return f"({write_state_expr(expr.left)} + {write_state_expr(expr.right)})"
 
 
 class _ExprParser:
@@ -449,7 +444,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         else:
             lines.append(f"atom {atom.label} dim={atom.dim} len={atom.length}")
     for name, expr in scenario.states.items():
-        lines.append(f"state {name} = {write_state_expr(expr)}")
+        lines.append(f"state {name} = {expr}")
     for name, e in scenario.eidostates.items():
         members = ", ".join(member_names(scenario, e))
         lines.append(f"eidostate {name} = {{ {members} }}")

@@ -7,12 +7,16 @@ Trees are hash-consed: ``Atom(...)`` and ``Pair(...)`` return the one
 live object for their tree, looked up in weak tables (atoms by name,
 pairs by the identities of their children), so a table holds only the
 trees still in use.  Equality of trees is therefore identity, and each
-node computes its hash once, when it is built, from its children's.
+node stores its hash and its sort key when it is built, from its
+children's.  Its leaves, its grammar text (``str``) and any bottom-up
+value a model assigns to it (``fold``) are read by walks that keep
+their own stack, so trees of any depth enter eidostates, factor, fold
+and print.
 An eidostate is a finite nonempty set of state expressions; combining two
 eidostates forms the Cartesian product of their members.  On top of that
 sit prime factorization with respect to the product, the similarity
 relation (equal prime-factor multisets), and small utilities (copies,
-subsets, disjoint partitions) used by the models and the test harness.
+subsets) used by the models and the test harness.
 
 Atom names are opaque strings here; their meaning (conserved content,
 entropy, dimension, ...) lives in the model registries.
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 #: Largest eidostate for which exhaustive enumeration (subsets, brute
 #: force product checks) is permitted.
@@ -43,32 +48,28 @@ class StateExpr:
 
     __slots__ = ()
 
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
-
     def leaves(self) -> Iterator["Atom"]:
-        raise NotImplementedError
-
-    @property
-    def depth(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def n_leaves(self) -> int:
-        raise NotImplementedError
+        """The atoms of the tree, left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Pair):
+                stack += (node.right, node.left)
+            else:
+                yield node
 
     # Total order via sort keys keeps eidostate storage canonical.
     def __lt__(self, other: "StateExpr") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __le__(self, other: "StateExpr") -> bool:
-        return self.sort_key() <= other.sort_key()
+        return self._key <= other._key
 
     def __gt__(self, other: "StateExpr") -> bool:
-        return self.sort_key() > other.sort_key()
+        return self._key > other._key
 
     def __ge__(self, other: "StateExpr") -> bool:
-        return self.sort_key() >= other.sort_key()
+        return self._key >= other._key
 
 
 class Atom(StateExpr):
@@ -98,20 +99,6 @@ class Atom(StateExpr):
     def __reduce__(self):
         return Atom, (self.atom_id,)
 
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def leaves(self) -> Iterator["Atom"]:
-        yield self
-
-    @property
-    def depth(self) -> int:
-        return 1
-
-    @property
-    def n_leaves(self) -> int:
-        return 1
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -139,7 +126,7 @@ class Pair(StateExpr):
                     pair = object.__new__(cls)
                     object.__setattr__(pair, "left", left)
                     object.__setattr__(pair, "right", right)
-                    object.__setattr__(pair, "_key", None)
+                    object.__setattr__(pair, "_key", ("p", left._key, right._key))
                     object.__setattr__(pair, "_hash", hash(("p", left, right)))
                     _PAIRS[ids] = pair
         return pair
@@ -150,30 +137,6 @@ class Pair(StateExpr):
     def __reduce__(self):
         return Pair, (self.left, self.right)
 
-    def sort_key(self) -> tuple:
-        if self._key is None:
-            key = ("p", self.left.sort_key(), self.right.sort_key())
-            object.__setattr__(self, "_key", key)
-        return self._key
-
-    def leaves(self) -> Iterator[Atom]:
-        stack = [self.right, self.left]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Atom):
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.left.depth, self.right.depth)
-
-    @property
-    def n_leaves(self) -> int:
-        return self.left.n_leaves + self.right.n_leaves
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -181,7 +144,46 @@ class Pair(StateExpr):
         return f"Pair({self.left!r}, {self.right!r})"
 
     def __str__(self) -> str:
-        return f"({self.left} + {self.right})"
+        """The grammar form ``(left + right)``, written without recursion."""
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            while isinstance(node, Pair):
+                parts.append("(")
+                stack += (")", node.right, " + ")
+                node = node.left
+            parts.append(node if isinstance(node, str) else node.atom_id)
+        return "".join(parts)
+
+
+def fold(expr: StateExpr, cache: dict, leaf, join):
+    """The value of ``expr`` built bottom-up: ``leaf(atom)`` at each atom
+    and ``join(left value, right value)`` at each pair.
+
+    Every subtree's value is computed once and stored in ``cache``, and
+    subtrees already there are not walked again.  The walk keeps its own
+    stack, so a tree of any depth folds without recursion.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node in cache:
+            continue
+        if isinstance(node, Pair):
+            left = cache.get(node.left)
+            right = cache.get(node.right)
+            if left is None or right is None:
+                stack.append(node)
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            cache[node] = join(left, right)
+        else:
+            cache[node] = leaf(node)
+    return cache[expr]
 
 
 #: The live trees, one object each: atoms by name, and pairs by the ids
@@ -195,6 +197,8 @@ _ATOMS: weakref.WeakValueDictionary[str, Atom] = weakref.WeakValueDictionary()
 _PAIRS: weakref.WeakValueDictionary[tuple, Pair] = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
+_sort_key = operator.attrgetter("_key")
+
 
 class Eidostate:
     """A finite nonempty set of state expressions in canonical order.
@@ -207,17 +211,13 @@ class Eidostate:
     __slots__ = ("_members", "_hash", "_primes")
 
     def __init__(self, members: Iterable[StateExpr]):
-        seen = set()
-        unique = []
-        for m in members:
-            if not isinstance(m, StateExpr):
-                raise TypeError("eidostate members must be StateExpr")
-            if m not in seen:
-                seen.add(m)
-                unique.append(m)
+        unique = list(dict.fromkeys(members))
         if not unique:
             raise ValueError("an eidostate must be nonempty")
-        unique.sort(key=lambda m: m.sort_key())
+        for m in unique:
+            if not isinstance(m, StateExpr):
+                raise TypeError("eidostate members must be StateExpr")
+        unique.sort(key=_sort_key)
         object.__setattr__(self, "_members", tuple(unique))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_primes", None)
@@ -255,24 +255,8 @@ class Eidostate:
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self._members)) + "}"
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self._members) == 1
-
-    @property
-    def single(self) -> StateExpr:
-        if len(self._members) != 1:
-            raise ValueError("eidostate is not a singleton")
-        return self._members[0]
-
     def as_set(self) -> frozenset:
         return frozenset(self._members)
-
-    def union(self, other: "Eidostate") -> "Eidostate":
-        return Eidostate(self._members + other._members)
-
-    def isdisjoint(self, other: "Eidostate") -> bool:
-        return self.as_set().isdisjoint(other.as_set())
 
     def issubset(self, other: "Eidostate") -> bool:
         return self.as_set() <= other.as_set()
@@ -298,29 +282,6 @@ def n_copies(a: Eidostate, n: int) -> Eidostate:
     return result
 
 
-#: A recombination shape: either an int index into the factor list or a
-#: two-tuple (left shape, right shape).
-Shape = Union[int, tuple]
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Prime factors of an eidostate plus the tree shape that recombines them."""
-
-    factors: tuple
-    shape: Shape
-
-    def recombine(self) -> Eidostate:
-        return _recombine(self.factors, self.shape)
-
-
-def _recombine(factors: tuple, shape: Shape) -> Eidostate:
-    if isinstance(shape, int):
-        return factors[shape]
-    left, right = shape
-    return combine(_recombine(factors, left), _recombine(factors, right))
-
-
 def _try_split(e: Eidostate):
     """Return (X, Y) with e = X x Y for the unique candidate split, else None."""
     lefts = set()
@@ -337,37 +298,29 @@ def _try_split(e: Eidostate):
     return Eidostate(lefts), Eidostate(rights)
 
 
-def prime_factorize(e: Eidostate) -> PrimeFactorization:
-    """Factor an eidostate into prime factors with respect to combination.
+def prime_factorize(e: Eidostate) -> tuple:
+    """The prime factors of an eidostate with respect to combination, left
+    to right.
 
     A set of pairs splits only along the pairing itself (lefts times
-    rights); the recursion bottoms out at sets admitting no such split.
+    rights); splitting each part in turn ends at sets admitting no split.
     """
-    split = _try_split(e)
-    if split is None:
-        return PrimeFactorization(factors=(e,), shape=0)
-    x, y = split
-    fx = prime_factorize(x)
-    fy = prime_factorize(y)
-    offset = len(fx.factors)
-    shifted = _shift_shape(fy.shape, offset)
-    return PrimeFactorization(
-        factors=fx.factors + fy.factors,
-        shape=(fx.shape, shifted),
-    )
-
-
-def _shift_shape(shape: Shape, offset: int) -> Shape:
-    if isinstance(shape, int):
-        return shape + offset
-    left, right = shape
-    return (_shift_shape(left, offset), _shift_shape(right, offset))
+    factors = []
+    stack = [e]
+    while stack:
+        part = stack.pop()
+        split = _try_split(part)
+        if split is None:
+            factors.append(part)
+        else:
+            stack += (split[1], split[0])
+    return tuple(factors)
 
 
 def prime_factors(e: Eidostate) -> Counter:
     """Multiset of prime factors, cached on the eidostate."""
     if e._primes is None:
-        object.__setattr__(e, "_primes", Counter(prime_factorize(e).factors))
+        object.__setattr__(e, "_primes", Counter(prime_factorize(e)))
     return e._primes
 
 
@@ -393,21 +346,6 @@ def subsets_of(e: Eidostate) -> Iterator[Eidostate]:
     for size in range(1, len(e) + 1):
         for chosen in itertools.combinations(e.members, size):
             yield Eidostate(chosen)
-
-
-def disjoint_partition_check(e: Eidostate, parts: Iterable[Eidostate]) -> bool:
-    """True when the parts are pairwise disjoint and their union is exactly e."""
-    parts = list(parts)
-    if not parts:
-        return False
-    total = 0
-    union = set()
-    for p in parts:
-        total += len(p)
-        union.update(p.members)
-    if total != len(union):
-        return False
-    return union == set(e.members)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from eidothermo.engine import (
     IrreversibilityEstimate,
     MinInfoStatus,
     NotUniformError,
-    _backward_holds,
-    _forward_holds,
     _gallop,
+    _search_sides,
     classify,
     conditional_probability,
     demonically_possible,
@@ -567,10 +566,12 @@ def _reference_bracket(a, b, q_max, oracle):
         bound = q * (ceiling + 1) + 8
 
         def forward(p):
-            return _forward_holds(oracle, sa, sb, bit, srecord, q, p)
+            x, y = _search_sides(sa, sb, bit, srecord, q, p)
+            return oracle.arrow_combined(x, y)
 
         def backward(p):
-            return _backward_holds(oracle, sa, sb, bit, srecord, q, p)
+            x, y = _search_sides(sa, sb, bit, srecord, q, p)
+            return oracle.arrow_combined(y, x)
 
         guess = 0 if best_lower is None else math.floor(q * best_lower)
         lower = _last_holding(forward, -bound, bound + 1, guess)
@@ -659,11 +660,13 @@ def test_irreversibility_bracket_with_large_entropy(quantum, forward):
 
 def _homogeneity_breaks(oracle, a, b, q, p, k):
     """Whether either search relation at (k*q, k*p) differs from (q, p)."""
-    args = (oracle, singleton(a), singleton(b), oracle.make_bit_state(),
+    args = (singleton(a), singleton(b), oracle.make_bit_state(),
             singleton(oracle.make_record()))
+    scaled = _search_sides(*args, k * q, k * p)
+    base = _search_sides(*args, q, p)
     return any(
-        holds(*args, k * q, k * p) != holds(*args, q, p)
-        for holds in (_forward_holds, _backward_holds)
+        oracle.arrow_combined(*scaled[::step]) != oracle.arrow_combined(*base[::step])
+        for step in (1, -1)
     )
 
 

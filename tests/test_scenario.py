@@ -18,7 +18,6 @@ from eidothermo.scenario import (
     member_names,
     parse_scenario,
     serialize_scenario,
-    write_state_expr,
 )
 from eidothermo.states import Atom, Pair, singleton
 
@@ -363,4 +362,4 @@ def test_random_quantum_round_trip(text):
 
 def test_write_state_expr_matches_grammar():
     expr = Pair(Pair(Atom("a"), Atom("b")), Atom("c"))
-    assert write_state_expr(expr) == "((a + b) + c)"
+    assert str(expr) == "((a + b) + c)"

@@ -2,16 +2,22 @@
 
 import copy
 import gc
+import operator
 import pickle
 import random
 import sys
 import threading
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eidothermo import states
+from eidothermo.macro import AtomDef, MacroModel, MacroRegistry
+from eidothermo.oracle import expand_factored
+from eidothermo.quantum import QAtomDef, QuantumRegistry
 from eidothermo.states import (
     Atom,
     Eidostate,
@@ -19,7 +25,7 @@ from eidothermo.states import (
     ProcessType,
     ResourceCapError,
     combine,
-    disjoint_partition_check,
+    fold,
     is_prime,
     n_copies,
     prime_factorize,
@@ -104,6 +110,114 @@ def test_identity_agrees_with_structural_equality(x, y):
     assert (build(x) != build(y)) == (x != y)
 
 
+# -- the recursive algebra that the walks replaced, kept as references --
+
+
+def reference_sort_key(expr):
+    """The sort key recomputed from the children's at every call."""
+    if isinstance(expr, Atom):
+        return ("a", expr.atom_id)
+    return ("p", reference_sort_key(expr.left), reference_sort_key(expr.right))
+
+
+def reference_factorize(e):
+    """Prime factors left to right: split along the pairing and factor
+    each side recursively."""
+    lefts, rights = set(), set()
+    for m in e:
+        if not isinstance(m, Pair):
+            return (e,)
+        lefts.add(m.left)
+        rights.add(m.right)
+    if len(lefts) * len(rights) != len(e):
+        return (e,)
+    return reference_factorize(Eidostate(lefts)) + reference_factorize(Eidostate(rights))
+
+
+def reference_value(expr, cache, leaf, join):
+    """The registries' recursive memo: ``leaf`` at atoms, ``join`` at pairs."""
+    cached = cache.get(expr)
+    if cached is None:
+        if isinstance(expr, Atom):
+            cached = leaf(expr)
+        else:
+            cached = join(reference_value(expr.left, cache, leaf, join),
+                          reference_value(expr.right, cache, leaf, join))
+        cache[expr] = cached
+    return cached
+
+
+def products():
+    """Eidostates built as nested products, so that most factor."""
+    return st.recursive(
+        eidostates(max_size=3, max_depth=2),
+        lambda children: st.builds(combine, children, children),
+        max_leaves=4,
+    )
+
+
+@given(st.lists(exprs(max_depth=5), min_size=1, max_size=8))
+def test_member_order_matches_the_recursive_sort_key(members):
+    want = tuple(sorted(set(members), key=reference_sort_key))
+    assert Eidostate(members).members == want
+    assert Eidostate(reversed(members)).members == want
+
+
+@given(products(), products())
+def test_combined_member_order_matches_the_recursive_sort_key(x, y):
+    pairs = {Pair(a, b) for a in x for b in y}
+    assert combine(x, y).members == tuple(sorted(pairs, key=reference_sort_key))
+
+
+@given(st.one_of(eidostates(max_size=6, max_depth=4), products()))
+def test_factorization_matches_the_recursive_reference(e):
+    assert prime_factorize(e) == reference_factorize(e)
+
+
+@given(st.lists(exprs(max_depth=6), min_size=1, max_size=4), st.data())
+def test_registry_values_match_the_recursive_reference(trees, data):
+    def draw(strategy):
+        return {i: data.draw(strategy, label=i) for i in "abcd"}
+
+    qs = draw(st.integers(0, 5))
+    ss = draw(st.fractions(0, 1, max_denominator=12))
+    dims = draw(st.integers(1, 16))
+    lengths = draw(st.integers(4, 6))
+    macro = MacroRegistry(AtomDef(i, qs[i], ss[i]) for i in "abcd")
+    quantum = QuantumRegistry(QAtomDef(i, dims[i], lengths[i]) for i in "abcd")
+    cases = [
+        (macro.q_value, macro._q_cache, lambda x: qs[x.atom_id], operator.add),
+        (macro.s_value, macro._s_cache, lambda x: ss[x.atom_id], operator.add),
+        (quantum.dim, quantum._dim_cache, lambda x: dims[x.atom_id], operator.mul),
+        (quantum.length, quantum._length_cache, lambda x: lengths[x.atom_id], operator.add),
+    ]
+    for value, cache, leaf, join in cases:
+        reference_cache = {}
+        for tree in trees:
+            assert value(tree) == reference_value(tree, reference_cache, leaf, join)
+            assert cache == reference_cache
+
+
+def test_fold_values_shared_subtrees_once():
+    shared = Pair(A, A)
+    tree = Pair(Pair(shared, B), Pair(shared, shared))
+    calls = []
+
+    def leaf(atom):
+        calls.append(atom)
+        return 1
+
+    def join(x, y):
+        calls.append((x, y))
+        return x + y
+
+    cache = {}
+    assert fold(tree, cache, leaf, join) == 7
+    assert calls == [A, (1, 1), B, (2, 1), (2, 2), (3, 4)]
+    assert set(cache) == {A, B, shared, Pair(shared, B), Pair(shared, shared), tree}
+    assert fold(tree, cache, leaf, join) == 7 and len(calls) == 6
+
+
 def test_intern_tables_hold_only_live_trees():
     rng = random.Random(13)
     gc.collect()
@@ -150,23 +264,47 @@ def test_threads_building_the_same_new_trees_get_one_object():
         assert all(x is y for x, y in zip(out, built[0]))
 
 
+HOSTILE_DEPTH = 50_000
+
+
+def right_comb(leaf, depth=HOSTILE_DEPTH):
+    """(leaf + (leaf + (... + leaf))) with ``depth`` pairs."""
+    expr = leaf
+    for _ in range(depth):
+        expr = Pair(leaf, expr)
+    return expr
+
+
 def test_hostile_depth_hashes_and_compares_without_recursion():
-    depth = 50_000
-
-    def right_comb():
-        expr = A
-        for _ in range(depth):
-            expr = Pair(A, expr)
-        return expr
-
-    first, second = right_comb(), right_comb()
+    first, second = right_comb(A), right_comb(A)
     leaf = _Hashed(hash(("a", "a")))
     expected = leaf.h
-    for _ in range(depth):
+    for _ in range(HOSTILE_DEPTH):
         expected = hash(("p", leaf, _Hashed(expected)))
     assert hash(first) == hash(second) == expected
     assert first == second
     assert {first: "comb"}[second] == "comb"
+
+
+def test_hostile_depth_enters_factors_values_and_prints():
+    n = HOSTILE_DEPTH
+    comb = right_comb(A)
+    e = singleton(comb)
+    assert e.members == (comb,)
+    assert Eidostate([comb, B, comb, A]).members == (A, B, comb)
+    assert str(comb) == "(a + " * n + "a" + ")" * n
+    assert prime_factors(e) == Counter({singleton(A): n + 1})
+
+    macro = MacroRegistry([AtomDef("a", 2, Fraction(1, 3))])
+    assert macro.q_value(comb) == 2 * (n + 1)
+    assert macro.s_value(comb) == Fraction(n + 1, 3)
+    quantum = QuantumRegistry([QAtomDef("a", 3, 2)])
+    assert quantum.dim(comb) == 3 ** (n + 1)
+    assert quantum.length(comb) == 2 * (n + 1)
+
+    model = MacroModel()
+    s = singleton(right_comb(model.registry.ensure_s_atom(Fraction(1, 2))))
+    assert model.arrow(s, s)
 
 
 @pytest.mark.parametrize("clone", [
@@ -209,12 +347,10 @@ def test_expr_text_form():
     assert str(A) == "a"
 
 
-def test_leaves_and_depth():
-    t = Pair(A, Pair(B, C))
-    assert [leaf.atom_id for leaf in t.leaves()] == ["a", "b", "c"]
-    assert t.depth == 3
-    assert t.n_leaves == 3
-    assert A.depth == 1
+def test_leaves_left_to_right():
+    t = Pair(Pair(A, B), Pair(C, A))
+    assert [leaf.atom_id for leaf in t.leaves()] == ["a", "b", "c", "a"]
+    assert list(A.leaves()) == [A]
 
 
 def test_eidostate_is_a_set():
@@ -232,9 +368,7 @@ def test_eidostate_rejects_empty():
 
 def test_singleton_access():
     s = singleton(A)
-    assert s.is_singleton and s.single == A
-    with pytest.raises(ValueError):
-        Eidostate([A, B]).single
+    assert s.members == (A,) and len(s) == 1
 
 
 def test_combine_singletons():
@@ -276,20 +410,18 @@ def test_n_copies_rejects_zero():
 
 
 def test_prime_factorize_singleton_pair():
-    pf = prime_factorize(Eidostate([Pair(A, B)]))
-    assert pf.factors == (singleton(A), singleton(B))
+    assert prime_factorize(Eidostate([Pair(A, B)])) == (singleton(A), singleton(B))
 
 
 def test_prime_factorize_full_product():
     e = Eidostate([Pair(A, C), Pair(A, D), Pair(B, C), Pair(B, D)])
-    pf = prime_factorize(e)
-    assert set(pf.factors) == {Eidostate([A, B]), Eidostate([C, D])}
+    assert prime_factorize(e) == (Eidostate([A, B]), Eidostate([C, D]))
 
 
 def test_diagonal_is_prime():
     e = Eidostate([Pair(A, C), Pair(B, D)])
     assert is_prime(e)
-    assert prime_factorize(e).factors == (e,)
+    assert prime_factorize(e) == (e,)
 
 
 def test_atom_sets_are_prime():
@@ -298,13 +430,13 @@ def test_atom_sets_are_prime():
 
 
 @given(eidostates())
-def test_factorization_recombines_exactly(e):
-    assert prime_factorize(e).recombine() == e
+def test_factors_expand_to_a_similar_eidostate(e):
+    assert similar(expand_factored(tuple((f, 1) for f in prime_factorize(e))), e)
 
 
 @given(eidostates())
 def test_factors_are_prime(e):
-    for f in prime_factorize(e).factors:
+    for f in prime_factorize(e):
         assert is_prime(f)
 
 
@@ -361,14 +493,6 @@ def test_subsets_cap():
     big = Eidostate([Pair(Atom(f"x{i}"), A) for i in range(21)])
     with pytest.raises(ResourceCapError):
         next(subsets_of(big))
-
-
-def test_disjoint_partition_check():
-    e = Eidostate([A, B])
-    assert disjoint_partition_check(e, [singleton(A), singleton(B)])
-    assert not disjoint_partition_check(e, [singleton(A), Eidostate([A, B])])
-    assert not disjoint_partition_check(Eidostate([A, B, C]), [singleton(A), singleton(B)])
-    assert not disjoint_partition_check(e, [])
 
 
 def test_process_type_labels():
