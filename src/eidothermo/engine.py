@@ -228,12 +228,12 @@ class IrreversibilityEstimate:
         return self.upper - self.lower
 
 
-def _search_sides(sa, sb, bit, srecord, q, p) -> tuple:
+def _search_sides(sa, sb, bit, record, q, p) -> tuple:
     """The two factored eidostates of q copies of <a,b> alongside p bit
     processes: a's side and b's side."""
     if p >= 0:
-        return ((sa, q), (bit, p)), ((sb, q), (srecord, p))
-    return ((sa, q), (srecord, -p)), ((sb, q), (bit, -p))
+        return ((sa, q), (bit, p)), ((sb, q), (record, p))
+    return ((sa, q), (record, -p)), ((sb, q), (bit, -p))
 
 
 def _gallop(holds, limit: int) -> int:
@@ -286,19 +286,19 @@ def irreversibility_estimate(
     sa, sb = singleton(a), singleton(b)
     if not oracle.possible(sa, sb):
         raise ImpossibleProcessError(f"process {a} -> {b} is impossible")
-    # One eidostate per operand for the whole search, so each one's
-    # cached prime factorization serves every arrow below.
-    bit = oracle.make_bit_state()
-    srecord = singleton(oracle.make_record())
+    # The bit and the record enter every arrow by their size, which the
+    # oracle decides as it would the states make_information_state
+    # builds, so the search materializes neither.
+    bit, record = InformationState(2), InformationState(1)
 
     def forward(q: int, p: int) -> bool:
         """q copies of <a,b> drive p bit processes."""
-        x, y = _search_sides(sa, sb, bit, srecord, q, p)
+        x, y = _search_sides(sa, sb, bit, record, q, p)
         return oracle.arrow_combined(x, y)
 
     def backward(q: int, p: int) -> bool:
         """p bit processes drive q copies of <a,b> in reverse."""
-        x, y = _search_sides(sa, sb, bit, srecord, q, p)
+        x, y = _search_sides(sa, sb, bit, record, q, p)
         return oracle.arrow_combined(y, x)
 
     # The integer part, by galloping from p = 0 with one copy.  Each |S|
@@ -421,9 +421,8 @@ def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerV
     of a by at least one unit; reports the margin."""
     import mpmath
 
-    bit = oracle.make_bit_state()
     sa, sb = singleton(a), singleton(b)
-    erases = oracle.arrow_combined(((sa, 1), (bit, 1)), ((sb, 1),))
+    erases = oracle.arrow_combined(((sa, 1), (InformationState(2), 1)), ((sb, 1),))
     if not erases:
         return LandauerVerdict(False, None, None, None)
     ea = oracle.state_entropy(a)

@@ -4,12 +4,16 @@ Atoms are a record atom (content 0, entropy 0) and a family of unit
 content atoms with entropy values in [0,1].  Content and entropy extend
 additively over pairing.  The arrow relation between eidostates is
 decided on their prime factorizations.  ``MacroModel._walk`` makes one
-pass over each side's (factor, multiplicity) list and its primes: it
-builds the non-uniform part, collects the uniform primes and sums their
-content, reading each prime's (content, entropy), or None for a
-non-uniform prime, from one per-model cache, and carries each uniform
-prime's entropy out with it.  The arrow holds when three criteria do,
-each one method:
+pass over each side's (factor, multiplicity) list.  A singleton factor
+is not factored: its primes are its atoms, all uniform, so it adds its
+member's content from the registry cache and one entropy term, the
+member's registry entropy.  Any other factor is factored, and each
+prime's (content, entropy), or None for a non-uniform prime, is read
+from one per-model cache: the walk builds the non-uniform part, sums
+the content and carries each uniform prime's entropy out with it.  A
+size-only information state is one uniform prime of entropy log2 n
+when records carry neither content nor entropy, which is decided once
+per model.  The arrow holds when three criteria do, each one method:
 
 * ``_n_criterion``: the non-uniform parts are identical multisets;
 * ``_q_criterion``: both uniform parts absent, or only one present with
@@ -19,7 +23,8 @@ each one method:
   present with initial entropy <= final entropy.
 
 The entropy totals of the uniform parts are summed only once the first
-two criteria have passed.
+two criteria have passed: the rational terms as one ``Fraction``, which
+becomes one exact value, and the irrational ones added to it.
 
 All comparisons are exact (``exact.compare_entropy``); undecided
 entropy comparisons surface as errors rather than guesses.  A state
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple, Union
@@ -53,6 +57,9 @@ STANDARD_LAMBDAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
 
 #: A prime factor: an eidostate, or an information state known by its size.
 Prime = Union[Eidostate, InformationState]
+
+#: An entropy value: a ``Fraction`` when rational.
+Entropy = Union[Fraction, ExactEntropy]
 
 
 @dataclass(frozen=True)
@@ -170,33 +177,43 @@ class MacroModel(ModelOracle):
     def __init__(self, registry: Optional[MacroRegistry] = None):
         self.registry = registry if registry is not None else MacroRegistry.standard()
         #: prime -> (content, entropy) when the prime is uniform, else None.
-        self._prime_cache: Dict[Prime, Optional[Tuple[int, ExactEntropy]]] = {}
+        self._prime_cache: Dict[Prime, Optional[Tuple[int, Entropy]]] = {}
+        #: Whether records carry neither content nor entropy; set on first use.
+        self._records_free: Optional[bool] = None
 
     # -- decomposition ------------------------------------------------
 
-    def _prime_values(self, prime: Prime) -> Optional[Tuple[int, ExactEntropy]]:
-        """Content and entropy of a uniform prime; None for a non-uniform one."""
+    def _prime_values(self, prime: Prime) -> Optional[Tuple[int, Entropy]]:
+        """Content and entropy of a uniform prime; None for a non-uniform one.
+
+        A rational entropy is kept as its ``Fraction``.
+        """
         if isinstance(prime, InformationState):
             # Content-free, with entropy log2 n (see _information_primes).
-            return 0, ExactEntropy.log2_of_int(prime.n)
-        if not self.registry.is_uniform(prime):
+            content, entropy = 0, ExactEntropy.log2_of_int(prime.n)
+        elif not self.registry.is_uniform(prime):
             return None
-        return self.registry.q_value(prime.members[0]), self.registry.entropy_exact(prime)
+        else:
+            content = self.registry.q_value(prime.members[0])
+            entropy = self.registry.entropy_exact(prime)
+        return content, entropy.as_fraction() if entropy.is_rational else entropy
 
-    def _walk(
-        self, parts: FactoredState
-    ) -> Tuple[Counter, Counter, int, Dict[Prime, ExactEntropy]]:
-        """One pass over the primes of a factored product.
+    def _walk(self, parts: FactoredState) -> Tuple[Dict[Prime, int], int, list]:
+        """One pass over the factors of a factored product.
 
-        Returns the non-uniform part, the uniform part (both as prime
-        multisets), the total content of the uniform part and the
-        entropy of each uniform prime, keyed by the same prime objects
-        as the uniform part so that summing needs no cache lookup.
+        Returns the non-uniform part as a prime multiset, the total
+        content of the uniform part, and the uniform part's entropy
+        terms as (value, multiplicity) pairs, empty when the uniform
+        part is absent.  A singleton factor is not factored: its primes
+        are its atoms, all uniform, so it adds its member's registry
+        content and one term whose value is the member's registry
+        entropy, read only when the entropy is summed.  Every other
+        prime's entropy comes out of the prime cache with it.
         """
         cache = self._prime_cache
-        non_uniform: Counter = Counter()
-        uniform: Counter = Counter()
-        entropies: Dict[Prime, ExactEntropy] = {}
+        q_value = self.registry.q_value
+        non_uniform: Dict[Prime, int] = {}
+        terms = []
         content = 0
         for factor, mult in parts:
             if mult == 0:
@@ -205,38 +222,51 @@ class MacroModel(ModelOracle):
                 raise ValueError("multiplicities must be nonnegative")
             if isinstance(factor, InformationState):
                 primes = self._information_primes(factor)
+            elif len(factor) == 1:
+                member = factor.members[0]
+                content += q_value(member) * mult
+                terms.append((member, mult))
+                continue
             else:
-                primes = prime_factors(factor)
-            for prime, count in primes.items():
+                primes = prime_factors(factor).items()
+            for prime, count in primes:
                 try:
                     values = cache[prime]
                 except KeyError:
                     values = cache[prime] = self._prime_values(prime)
                 count *= mult
                 if values is None:
-                    non_uniform[prime] += count
+                    non_uniform[prime] = non_uniform.get(prime, 0) + count
                 else:
-                    uniform[prime] += count
-                    entropies[prime] = values[1]
                     content += values[0] * count
-        if not non_uniform and not uniform:
+                    terms.append((values[1], count))
+        if not non_uniform and not terms:
             raise ValueError("empty product has no primes")
-        return non_uniform, uniform, content, entropies
+        return non_uniform, content, terms
 
-    @staticmethod
-    def _entropy_total(uniform: Counter, entropies: Dict[Prime, ExactEntropy]) -> ExactEntropy:
-        """Total entropy of a nonempty multiset of uniform primes."""
-        total: Optional[ExactEntropy] = None
-        for prime, mult in uniform.items():
-            part = entropies[prime] * mult
-            total = part if total is None else total + part
-        return total
+    def _entropy_total(self, terms: list) -> ExactEntropy:
+        """Total entropy of a nonempty uniform part: the rational terms
+        summed as one ``Fraction``, then the irrational ones added."""
+        s_value = self.registry.s_value
+        rational = None
+        irrational: Optional[ExactEntropy] = None
+        for value, mult in terms:
+            if isinstance(value, StateExpr):
+                value = s_value(value)
+            part = value * mult
+            if isinstance(part, Fraction):
+                rational = part if rational is None else rational + part
+            else:
+                irrational = part if irrational is None else irrational + part
+        if irrational is None:
+            return ExactEntropy.from_rational(rational)
+        return irrational + rational if rational else irrational
 
     # -- the arrow ----------------------------------------------------
 
     def arrow_combined(self, parts_a: FactoredState, parts_b: FactoredState) -> bool:
-        n_a, u_a, qa, s_a = self._walk(parts_a)
-        n_b, u_b, qb, s_b = self._walk(parts_b)
+        n_a, qa, u_a = self._walk(parts_a)
+        n_b, qb, u_b = self._walk(parts_b)
         if not self._n_criterion(n_a, n_b):
             return False
         # Content first: no entropy is summed or compared when content
@@ -244,11 +274,11 @@ class MacroModel(ModelOracle):
         if not self._q_criterion(qa if u_a else None, qb if u_b else None):
             return False
         return self._s_criterion(
-            self._entropy_total(u_a, s_a) if u_a else None,
-            self._entropy_total(u_b, s_b) if u_b else None,
+            self._entropy_total(u_a) if u_a else None,
+            self._entropy_total(u_b) if u_b else None,
         )
 
-    def _n_criterion(self, n_a: Counter, n_b: Counter) -> bool:
+    def _n_criterion(self, n_a: Dict[Prime, int], n_b: Dict[Prime, int]) -> bool:
         return n_a == n_b
 
     def _q_criterion(self, qa: Optional[int], qb: Optional[int]) -> bool:
@@ -269,19 +299,24 @@ class MacroModel(ModelOracle):
             return compare_entropy(sb, ZERO) is not Comparison.LESS
         return compare_entropy(sa, sb) is not Comparison.GREATER
 
-    def _information_primes(self, info: InformationState) -> Counter:
-        """The primes a size-only information state stands for.
+    def _information_primes(self, info: InformationState):
+        """The (prime, count) items a size-only information state stands for.
 
         Built from content-free, entropy-free records, an information
         state's primes are all uniform, carry no content, and have
         entropies summing to log2 n, so the size itself serves as one
         uniform prime.  Records that carry content or entropy break
         that identity, and the materialized state is factored instead.
+        Which case holds is decided once per model.
         """
-        record = self.make_record()
-        if self.registry.q_value(record) == 0 and self.registry.s_value(record) == 0:
-            return Counter({info: 1})
-        return prime_factors(self.make_information_state(info.n))
+        if self._records_free is None:
+            record = self.make_record()
+            self._records_free = (
+                self.registry.q_value(record) == 0 and self.registry.s_value(record) == 0
+            )
+        if self._records_free:
+            return ((info, 1),)
+        return prime_factors(self.make_information_state(info.n)).items()
 
     # -- oracle contract ----------------------------------------------
 
@@ -338,8 +373,8 @@ class MacroModel(ModelOracle):
 
     def information_blocked(self, a: Eidostate, b: Eidostate) -> bool:
         """No information state can help when contents or non-uniform parts differ."""
-        n_a, _, qa, _ = self._walk(((a, 1),))
-        n_b, _, qb, _ = self._walk(((b, 1),))
+        n_a, qa, _ = self._walk(((a, 1),))
+        n_b, qb, _ = self._walk(((b, 1),))
         return n_a != n_b or qa != qb
 
     def is_uniform(self, e: Eidostate) -> bool:

@@ -15,7 +15,10 @@ generators so suites are reproducible.  A model implements
   a factor may also be an ``InformationState(n)``, which stands for an
   n-element information state by its size alone (the theory sees an
   information state only through its cardinality, with entropy log2 n),
-  so searches over information-state sizes cost O(1) per arrow;
+  so searches over information-state sizes cost O(1) per arrow; the
+  engine passes the bit state as ``InformationState(2)`` and a record as
+  ``InformationState(1)``, the sizes of ``make_bit_state()`` and
+  ``singleton(make_record())``;
 * ``information_blocked`` reports when no amount of added information
   can enable a transformation, letting searches distinguish "not yet"
   from "never".

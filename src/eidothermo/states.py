@@ -135,7 +135,31 @@ class Pair(StateExpr):
         raise AttributeError("Pair is immutable")
 
     def __reduce__(self):
-        return Pair, (self.left, self.right)
+        """Pickled flat, so a tree of any depth pickles: its distinct
+        subtrees in post-order, an atom by its name and a pair by the
+        positions of its two children.  Loading rebuilds the tree through
+        ``Atom`` and ``Pair``, which return the live tree if there is one."""
+        position = {}
+        nodes = []
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node in position:
+                stack.pop()
+                continue
+            if isinstance(node, Pair):
+                if node.left not in position:
+                    stack.append(node.left)
+                    continue
+                if node.right not in position:
+                    stack.append(node.right)
+                    continue
+                nodes.append((position[node.left], position[node.right]))
+            else:
+                nodes.append(node.atom_id)
+            position[node] = len(nodes) - 1
+            stack.pop()
+        return _unpickle_tree, (tuple(nodes),)
 
     def __hash__(self) -> int:
         return self._hash
@@ -155,6 +179,14 @@ class Pair(StateExpr):
                 node = node.left
             parts.append(node if isinstance(node, str) else node.atom_id)
         return "".join(parts)
+
+
+def _unpickle_tree(nodes: tuple) -> StateExpr:
+    """The tree ``Pair.__reduce__`` wrote as a post-order node list."""
+    built = []
+    for node in nodes:
+        built.append(Atom(node) if isinstance(node, str) else Pair(built[node[0]], built[node[1]]))
+    return built[-1]
 
 
 def fold(expr: StateExpr, cache: dict, leaf, join):

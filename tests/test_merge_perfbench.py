@@ -1,6 +1,7 @@
 """The BENCH_*.json merge of two checkouts' perfbench reports."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,26 @@ def test_one_side_must_come_from_one_source_tree():
     change = {("suites", 1, 0): report("c", 1.0, 1.0)}
     with pytest.raises(SystemExit):
         merge_perfbench.merge(parent, change, END_TO_END)
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+PAIRS_PER_WORKLOAD = 10
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_files_are_complete(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    parent, change = bench["parent"], bench["change"]
+    for side in (parent, change):
+        assert side["git_sha"] and side["src_sha256"]
+    assert parent["python"] == change["python"]
+    assert parent["nproc"] == change["nproc"]
+    for workload in BENCHMARK["workloads"]:
+        entry = bench["workloads"][workload["name"]]
+        assert len(entry["seeds"]) == PAIRS_PER_WORKLOAD, workload["name"]
+        for metric in BENCHMARK["end_to_end"]:
+            runs = entry["metrics"][metric["name"]]
+            assert runs["pairs"] == PAIRS_PER_WORKLOAD
+            for side in ("parent", "change"):
+                assert len(runs[side]["runs"]) == PAIRS_PER_WORKLOAD, (
+                    workload["name"], metric["name"], side)

@@ -2,10 +2,17 @@
 against the materialized ones they stand for."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from eidothermo.engine import MinInfoResult, MinInfoStatus, min_information_to_transform
+from eidothermo.engine import (
+    MinInfoResult,
+    MinInfoStatus,
+    irreversibility_estimate,
+    landauer_check,
+    min_information_to_transform,
+)
 from eidothermo.harness import (
     MutantDropContentCriterion,
     MutantFlippedEntropyOrder,
@@ -14,7 +21,7 @@ from eidothermo.harness import (
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import InformationState, ModelOracle
 from eidothermo.quantum import QuantumModel
-from eidothermo.states import Atom, Eidostate, singleton
+from eidothermo.states import Atom, Eidostate, Pair, singleton
 
 MODELS = (
     MacroModel,
@@ -146,6 +153,29 @@ def test_macro_search_never_materializes(monkeypatch):
         singleton(Atom("s_1")), singleton(Atom("s_0")), 2**62, model
     )
     assert result == MinInfoResult(MinInfoStatus.FOUND, 2)
+
+
+@pytest.mark.parametrize("model_cls", MODELS, ids=lambda cls: cls.name)
+def test_bit_and_record_are_the_smallest_information_states(model_cls):
+    # The engine passes the bit as InformationState(2) and the record as
+    # InformationState(1).
+    model = model_cls()
+    assert model.make_information_state(2) == model.make_bit_state()
+    assert model.make_information_state(1) == singleton(model.make_record())
+
+
+def test_macro_bracket_and_erasure_never_materialize(monkeypatch):
+    model = MacroModel()
+
+    def refuse(*args):
+        raise AssertionError("materialized a bit or an information state")
+
+    monkeypatch.setattr(model, "make_bit_state", refuse)
+    monkeypatch.setattr(model, "make_information_state", refuse)
+    est = irreversibility_estimate(Pair(Atom("s_1/4"), Atom("r")), Atom("s_3/4"), 64, model)
+    assert (est.lower, est.upper) == (Fraction(1, 2), Fraction(1, 2))
+    verdict = landauer_check(Atom("s_0"), Atom("s_1"), model)
+    assert verdict.applicable and verdict.satisfied
 
 
 def test_entropy_carrying_records_take_the_materialized_path(monkeypatch):

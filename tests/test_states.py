@@ -307,6 +307,27 @@ def test_hostile_depth_enters_factors_values_and_prints():
     assert model.arrow(s, s)
 
 
+def test_hostile_depth_pickles_to_the_same_tree():
+    comb = right_comb(A)
+    data = pickle.dumps(comb)
+    assert pickle.loads(data) is comb
+    e = Eidostate([comb, B])
+    assert pickle.loads(pickle.dumps(e)).members[1] is comb
+    digest, text = hash(comb), str(comb)
+    del comb, e
+    rebuilt = pickle.loads(data)
+    assert hash(rebuilt) == digest and str(rebuilt) == text
+
+
+def test_pickle_writes_each_shared_subtree_once():
+    tree = A
+    for _ in range(64):
+        tree = Pair(tree, tree)  # 2**64 leaves, 65 distinct subtrees
+    data = pickle.dumps(tree)
+    assert len(data) < 2_000
+    assert pickle.loads(data) is tree
+
+
 @pytest.mark.parametrize("clone", [
     copy.copy,
     copy.deepcopy,
