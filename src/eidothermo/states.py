@@ -139,26 +139,14 @@ class Pair(StateExpr):
         subtrees in post-order, an atom by its name and a pair by the
         positions of its two children.  Loading rebuilds the tree through
         ``Atom`` and ``Pair``, which return the live tree if there is one."""
-        position = {}
         nodes = []
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if node in position:
-                stack.pop()
-                continue
-            if isinstance(node, Pair):
-                if node.left not in position:
-                    stack.append(node.left)
-                    continue
-                if node.right not in position:
-                    stack.append(node.right)
-                    continue
-                nodes.append((position[node.left], position[node.right]))
-            else:
-                nodes.append(node.atom_id)
-            position[node] = len(nodes) - 1
-            stack.pop()
+
+        def position(entry) -> int:
+            nodes.append(entry)
+            return len(nodes) - 1
+
+        fold(self, {}, lambda atom: position(atom.atom_id),
+             lambda left, right: position((left, right)))
         return _unpickle_tree, (tuple(nodes),)
 
     def __hash__(self) -> int:
