@@ -17,14 +17,16 @@ MAX_QMAX, `--cases` above MAX_CASES, recursion or enumeration limits).
 Error messages longer than MAX_ERROR_CHARS keep their start and end and
 elide the middle.
 
-Entropy comparisons climb a precision ladder capped by the
-EIDOTHERMO_MAX_BITS environment variable (bits, default 4096).
+Every decimal is printed by exact.decimal_of to 30 significant digits,
+each certified: by the exact value when it is rational, otherwise by an
+interval evaluated up the precision ladder that entropy comparisons
+climb too, capped by the EIDOTHERMO_MAX_BITS environment variable (bits,
+default 4096).  A printed 0.0 is an exact fact: an equality of entropies
+or the identity S(E) = <S> + H.
 
-A command loads only what it uses: mpmath when it prints a decimal or a
-probability or climbs the ladder, the property-test harness for
-check-axioms and check-theorems, and the quantum model for quantum
-scenarios.  The run_axiom_report and run_theorem_report functions here
-import the harness when called.
+A command loads only what it uses: mpmath when it evaluates an interval,
+the property-test harness for check-axioms and check-theorems, and the
+quantum model for quantum scenarios.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .engine import (
-    DEFAULT_BITS,
-    PROBABILITY_DIGITS,
     MinInfoStatus,
     classify,
-    entropic_probability,
     entropy_uniform,
     irreversibility_estimate,
     landauer_check,
     min_information_to_transform,
+    probability_enclosure,
     shannon_decomposition,
 )
 from .exact import decimal_of
@@ -53,7 +53,7 @@ from .scenario import Scenario, member_names, parse_scenario
 from .states import Process, ResourceCapError
 
 if TYPE_CHECKING:
-    from .harness import SuiteConfig, SuiteReport
+    from .harness import SuiteReport
 
 __all__ = ["main"]
 
@@ -81,13 +81,6 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _mpf_decimal(value) -> str:
-    import mpmath
-
-    with mpmath.workprec(DEFAULT_BITS):
-        return mpmath.nstr(value, PROBABILITY_DIGITS, strip_zeros=False)
-
-
 def _cmd_classify(args, sc: Scenario) -> CommandOutput:
     oracle = sc.oracle()
     a = sc.lookup_eidostate(args.a)
@@ -106,7 +99,7 @@ def _cmd_entropy(args, sc: Scenario) -> CommandOutput:
     e = sc.lookup_eidostate(args.e)
     value = entropy_uniform(e, oracle)
     exponents = [_frac(x) for x in value.exponents]
-    decimal = decimal_of(value, PROBABILITY_DIGITS)
+    decimal = decimal_of(value)
     return CommandOutput(
         command="entropy",
         inputs={"eidostate": args.e, "model": sc.model},
@@ -127,7 +120,7 @@ def _cmd_prob(args, sc: Scenario) -> CommandOutput:
     oracle = sc.oracle()
     state = sc.lookup_state(args.a)
     e = sc.lookup_eidostate(args.e)
-    decimal = _mpf_decimal(entropic_probability(state, e, oracle))
+    decimal = decimal_of(probability_enclosure((state,), e.members, e, oracle))
     return CommandOutput(
         command="prob",
         inputs={"eidostate": args.e, "model": sc.model, "state": args.a},
@@ -139,30 +132,25 @@ def _cmd_prob(args, sc: Scenario) -> CommandOutput:
 def _cmd_prob_report(args, sc: Scenario) -> CommandOutput:
     oracle = sc.oracle()
     e = sc.lookup_eidostate(args.e)
+    names = member_names(sc, e)
     report = shannon_decomposition(e, oracle)
-    names = dict(zip(e.members, member_names(sc, e)))
-    probabilities = {}
-    text = []
-    for m in e:
-        decimal = _mpf_decimal(report.support[m])
-        probabilities[names[m]] = decimal
-        text.append(f"P({names[m]} | {args.e}) = {decimal}")
-    summary = {
-        "mean state entropy": _mpf_decimal(report.mean_state_entropy),
-        "shannon information": _mpf_decimal(report.shannon_term),
-        "total entropy": _mpf_decimal(report.entropy_total),
-        "residual": _mpf_decimal(report.residual()),
-    }
-    text.extend(f"{label}: {value}" for label, value in summary.items())
+    *decimals, mean, shannon, total, residual = decimal_of(report.enclosure)
+    text = [f"P({name} | {args.e}) = {p}" for name, p in zip(names, decimals)]
+    text += [
+        f"mean state entropy: {mean}",
+        f"shannon information: {shannon}",
+        f"total entropy: {total}",
+        f"residual: {residual}",
+    ]
     return CommandOutput(
         command="prob-report",
         inputs={"eidostate": args.e, "model": sc.model},
         result={
-            "mean_state_entropy": summary["mean state entropy"],
-            "probabilities": probabilities,
-            "residual": summary["residual"],
-            "shannon_information": summary["shannon information"],
-            "total_entropy": summary["total entropy"],
+            "mean_state_entropy": mean,
+            "probabilities": dict(zip(names, decimals)),
+            "residual": residual,
+            "shannon_information": shannon,
+            "total_entropy": total,
         },
         text=text,
     )
@@ -211,32 +199,30 @@ def _cmd_demon(args, sc: Scenario) -> CommandOutput:
 
 def _cmd_landauer(args, sc: Scenario) -> CommandOutput:
     oracle = sc.oracle()
-    a = sc.lookup_state(args.a)
-    b = sc.lookup_state(args.b)
-    verdict = landauer_check(a, b, oracle)
+    verdict = landauer_check(sc.lookup_state(args.a), sc.lookup_state(args.b), oracle)
+    inputs = {"a": args.a, "b": args.b, "model": sc.model}
     if not verdict.applicable:
         return CommandOutput(
             command="landauer",
-            inputs={"a": args.a, "b": args.b, "model": sc.model},
+            inputs=inputs,
             result={"applicable": 0, "margin_decimal": "", "margin_exact": "",
                     "satisfied": 0},
             text=["inapplicable: the bit-assisted process is impossible"],
         )
-    margin_exact = _frac(verdict.margin_exact) if verdict.margin_exact is not None else ""
-    label = "satisfied" if verdict.satisfied else "violated"
+    margin_exact = "" if verdict.margin_exact is None else _frac(verdict.margin_exact)
     margin_line = f"margin: {verdict.margin_decimal}"
     if margin_exact:
         margin_line += f" (exactly {margin_exact})"
     return CommandOutput(
         command="landauer",
-        inputs={"a": args.a, "b": args.b, "model": sc.model},
+        inputs=inputs,
         result={
             "applicable": 1,
             "margin_decimal": verdict.margin_decimal,
             "margin_exact": margin_exact,
             "satisfied": int(verdict.satisfied),
         },
-        text=[f"verdict: {label}", margin_line],
+        text=[f"verdict: {'satisfied' if verdict.satisfied else 'violated'}", margin_line],
     )
 
 
@@ -276,34 +262,13 @@ def _suite_output(command: str, sc: Scenario, args, report: SuiteReport) -> Comm
     )
 
 
-def run_axiom_report(oracle, config: SuiteConfig) -> SuiteReport:
-    """``harness.run_axiom_report``, importing the harness when called."""
+def _cmd_check(args, sc: Scenario) -> CommandOutput:
     from . import harness
 
-    return harness.run_axiom_report(oracle, config)
-
-
-def run_theorem_report(oracle, config: SuiteConfig) -> SuiteReport:
-    """``harness.run_theorem_report``, importing the harness when called."""
-    from . import harness
-
-    return harness.run_theorem_report(oracle, config)
-
-
-def _cmd_check_axioms(args, sc: Scenario) -> CommandOutput:
-    from .harness import SuiteConfig
-
-    config = SuiteConfig(cases_per_check=args.cases, seed=args.seed)
-    report = run_axiom_report(sc.oracle(), config)
-    return _suite_output("check-axioms", sc, args, report)
-
-
-def _cmd_check_theorems(args, sc: Scenario) -> CommandOutput:
-    from .harness import SuiteConfig
-
-    config = SuiteConfig(cases_per_check=args.cases, seed=args.seed)
-    report = run_theorem_report(sc.oracle(), config)
-    return _suite_output("check-theorems", sc, args, report)
+    run = {"check-axioms": harness.run_axiom_report,
+           "check-theorems": harness.run_theorem_report}[args.command]
+    config = harness.SuiteConfig(cases_per_check=args.cases, seed=args.seed)
+    return _suite_output(args.command, sc, args, run(sc.oracle(), config))
 
 
 _HANDLERS: Dict[str, Callable] = {
@@ -314,8 +279,8 @@ _HANDLERS: Dict[str, Callable] = {
     "irrev": _cmd_irrev,
     "demon": _cmd_demon,
     "landauer": _cmd_landauer,
-    "check-axioms": _cmd_check_axioms,
-    "check-theorems": _cmd_check_theorems,
+    "check-axioms": _cmd_check,
+    "check-theorems": _cmd_check,
 }
 
 

@@ -7,12 +7,13 @@ estimator, demon planning (minimum information to enable a
 transformation) and the Landauer check.
 
 Probabilities and the decomposition read the weights 2^S(m) from the
-exact integer enclosures and are evaluated once in interval arithmetic
-at a fixed DEFAULT_BITS (128); each number is the midpoint of its
-certified interval, or exactly 0 when the interval contains 0, and the
-residual of S(E) = <S> + H is certified.  The Gibbs gap and the
-Landauer margin are mpmath numbers at the same precision.  The
-functions that compute these load mpmath, so classification, the
+exact integer enclosures and are evaluated in interval arithmetic.  A
+library number is read at the first rung: the midpoint of its certified
+interval, or exactly 0 when the interval contains 0, and the residual
+of S(E) = <S> + H is certified.  For exact.decimal_of the same intervals
+are evaluated at any rung, and the Landauer margin is a difference of
+entropies.  The Gibbs gap is an mpmath number at the first rung.  The
+functions that evaluate intervals load mpmath, so classification, the
 irreversibility bracket and demon planning never do.  The Landauer
 verdict is an exact comparison.
 
@@ -30,15 +31,19 @@ the two entropies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from functools import cache
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .exact import (
+    FIRST_BITS,
     Comparison,
     ExactEntropy,
     _context,
     compare_entropy,
+    decimal_of,
+    difference,
     entropy_mpf,
     point,
 )
@@ -50,10 +55,6 @@ from .states import (
     StateExpr,
     singleton,
 )
-
-DEFAULT_BITS = 128
-PROBABILITY_DIGITS = 30
-
 
 class NotUniformError(ValueError):
     """An operation requiring a uniform eidostate received a non-uniform one."""
@@ -94,14 +95,34 @@ def _to_mpf(value):
     return mpmath.mpf(value)
 
 
-def _weights(members: Sequence[StateExpr], oracle: ModelOracle) -> list:
-    """Certified intervals of 2^S(m) for each member, in the given order."""
-    return [oracle.state_entropy(m).power_interval(DEFAULT_BITS) for m in members]
-
-
 def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle):
     """P(a | e) = 2^(S(a) - S(e)) for members, 0 otherwise."""
     return conditional_probability((a,), e.members, e, oracle)
+
+
+def probability_enclosure(
+    b: Iterable[StateExpr],
+    a: Iterable[StateExpr],
+    e: Eidostate,
+    oracle: ModelOracle,
+) -> Callable[[int], object]:
+    """P(b | a within e) as a function from a working precision in bits to
+    an interval containing it.  Weights are summed in e's member order,
+    so results do not depend on set iteration order."""
+    if not oracle.is_uniform(e):
+        raise NotUniformError(f"eidostate {e} is not uniform")
+    set_a, set_b = set(a), set(b)
+    given = [m for m in e.members if m in set_a]
+    if not given:
+        raise ValueError("conditioning set does not meet the eidostate")
+
+    def enclosure(bits: int):
+        zero = _context(bits).mpf(0)
+        weights = [oracle.state_entropy(m).power_interval(bits) for m in given]
+        numer = sum((w for m, w in zip(given, weights) if m in set_b), zero)
+        return numer / sum(weights, zero)
+
+    return enclosure
 
 
 def conditional_probability(
@@ -110,21 +131,8 @@ def conditional_probability(
     e: Eidostate,
     oracle: ModelOracle,
 ):
-    """P(b | a within e), with empty sets carrying probability zero.
-
-    Weights are summed in e's member order, so results do not depend on
-    set iteration order.
-    """
-    if not oracle.is_uniform(e):
-        raise NotUniformError(f"eidostate {e} is not uniform")
-    set_a, set_b = set(a), set(b)
-    given = [m for m in e.members if m in set_a]
-    if not given:
-        raise ValueError("conditioning set does not meet the eidostate")
-    zero = _context(DEFAULT_BITS).mpf(0)
-    weights = _weights(given, oracle)
-    numer = sum((w for m, w in zip(given, weights) if m in set_b), zero)
-    return point(numer / sum(weights, zero), DEFAULT_BITS)
+    """P(b | a within e), with empty sets carrying probability zero."""
+    return point(probability_enclosure(b, a, e, oracle)(FIRST_BITS), FIRST_BITS)
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,11 @@ class ProbabilityReport:
     """Entropic probabilities of a uniform eidostate and the split of its
     entropy into mean member entropy plus Shannon information.
 
-    Each number is read from its certified interval by ``exact.point``;
-    ``residual_interval`` encloses S(E) - (<S> + H).
+    Each number is read from its certified interval at the first rung by
+    ``exact.point``.  ``residual_interval`` encloses S(E) - (<S> + H).
+    ``enclosure`` gives the intervals at any rung for ``exact.decimal_of``:
+    the probabilities in member order, <S>, H, S(E) and the residual,
+    exactly 0 when its interval contains 0, as the identity is exact.
     """
 
     support: Dict[StateExpr, object]
@@ -141,36 +152,48 @@ class ProbabilityReport:
     mean_state_entropy: object
     shannon_term: object
     residual_interval: object
+    enclosure: Callable[[int], tuple] = field(repr=False, compare=False)
 
     def residual(self):
         """|S(E) - (<S> + H)|: exactly 0 when its interval contains 0."""
-        return abs(point(self.residual_interval, DEFAULT_BITS))
+        return abs(point(self.residual_interval, FIRST_BITS))
 
 
 def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
-    """Probabilities plus the identity S(E) = <S> + H, each evaluated once
-    in interval arithmetic at DEFAULT_BITS."""
+    """Probabilities plus the identity S(E) = <S> + H in interval
+    arithmetic, evaluated once per rung and read at the first."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
-    ctx = _context(DEFAULT_BITS)
     members = e.members
-    weights = _weights(members, oracle)
-    total_weight = sum(weights, ctx.mpf(0))
-    log2 = ctx.log(2)
-    support = {}
-    mean = shannon = ctx.mpf(0)
-    for m, w in zip(members, weights):
-        p = w / total_weight
-        support[m] = point(p, DEFAULT_BITS)
-        mean += p * (ctx.log(w) / log2)
-        shannon -= p * (ctx.log(p) / log2)
-    total = ctx.log(total_weight) / log2
+
+    @cache
+    def intervals(bits: int) -> tuple:
+        ctx = _context(bits)
+        weights = [oracle.state_entropy(m).power_interval(bits) for m in members]
+        total_weight = sum(weights, ctx.mpf(0))
+        log2 = ctx.log(2)
+        probabilities = [w / total_weight for w in weights]
+        mean = shannon = ctx.mpf(0)
+        for w, p in zip(weights, probabilities):
+            mean += p * (ctx.log(w) / log2)
+            shannon -= p * (ctx.log(p) / log2)
+        if len(members) == 1:
+            shannon = ctx.mpf(0)  # p = 1 exactly, which w / w does not certify
+        total = ctx.log(total_weight) / log2
+        return (*probabilities, mean, shannon, total, total - (mean + shannon))
+
+    def enclosure(bits: int) -> tuple:
+        *numbers, residual = intervals(bits)
+        return (*numbers, 0 if 0 in residual else residual)
+
+    *probabilities, mean, shannon, total, residual = intervals(FIRST_BITS)
     return ProbabilityReport(
-        support=support,
-        entropy_total=point(total, DEFAULT_BITS),
-        mean_state_entropy=point(mean, DEFAULT_BITS),
-        shannon_term=point(shannon, DEFAULT_BITS),
-        residual_interval=total - (mean + shannon),
+        support={m: point(p, FIRST_BITS) for m, p in zip(members, probabilities)},
+        entropy_total=point(total, FIRST_BITS),
+        mean_state_entropy=point(mean, FIRST_BITS),
+        shannon_term=point(shannon, FIRST_BITS),
+        residual_interval=residual,
+        enclosure=enclosure,
     )
 
 
@@ -189,7 +212,7 @@ def gibbs_gap(
     members = set(e.members)
     if not set(distribution) <= members:
         raise ValueError("distribution assigns weight outside the eidostate")
-    with mpmath.workprec(DEFAULT_BITS):
+    with mpmath.workprec(FIRST_BITS):
         probs = {m: _to_mpf(distribution.get(m, 0)) for m in e}
         total = mpmath.mpf(0)
         for p in probs.values():
@@ -202,9 +225,9 @@ def gibbs_gap(
         shannon = mpmath.mpf(0)
         for m, p in probs.items():
             if p > 0:
-                mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
+                mean += p * entropy_mpf(oracle.state_entropy(m), FIRST_BITS)
                 shannon -= p * mpmath.log(p, 2)
-        return entropy_mpf(entropy, DEFAULT_BITS) - (mean + shannon)
+        return entropy_mpf(entropy, FIRST_BITS) - (mean + shannon)
 
 
 # -- irreversibility --------------------------------------------------
@@ -419,19 +442,14 @@ class LandauerVerdict:
 def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerVerdict:
     """If a plus a bit state reaches b, the entropy of b must exceed that
     of a by at least one unit; reports the margin."""
-    import mpmath
-
     sa, sb = singleton(a), singleton(b)
     erases = oracle.arrow_combined(((sa, 1), (InformationState(2), 1)), ((sb, 1),))
     if not erases:
         return LandauerVerdict(False, None, None, None)
     ea = oracle.state_entropy(a)
     eb = oracle.state_entropy(b)
-    satisfied = compare_entropy(eb, ea + 1) is not Comparison.LESS
-    margin_exact = None
-    if ea.is_rational and eb.is_rational:
-        margin_exact = eb.as_fraction() - ea.as_fraction() - 1
-    with mpmath.workprec(DEFAULT_BITS):
-        margin = entropy_mpf(eb, DEFAULT_BITS) - entropy_mpf(ea, DEFAULT_BITS) - 1
-        margin_decimal = mpmath.nstr(margin, PROBABILITY_DIGITS, strip_zeros=False)
-    return LandauerVerdict(True, satisfied, margin_exact, margin_decimal)
+    bound = ea + 1
+    satisfied = compare_entropy(eb, bound) is not Comparison.LESS
+    margin = difference(eb, bound)  # exactly 0 when the comparison says EQUAL
+    margin_exact = margin if ea.is_rational and eb.is_rational else None
+    return LandauerVerdict(True, satisfied, margin_exact, decimal_of(margin))

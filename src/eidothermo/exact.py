@@ -34,20 +34,22 @@ precision: 128 bits doubling up to a cap, default 4096, overridable via
 the ``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at
 the cap raises ``PrecisionExhausted`` rather than guessing.  ``floor``
 is one such comparison against an integer; ``power_interval`` is the
-enclosure of 2^value as an interval and ``interval`` its logarithm, and
-decimals and floats are read from it.  ``point`` reads one number from
-a certified interval: exactly 0 when the interval contains 0, otherwise
-its midpoint.
+enclosure of 2^value as an interval and ``interval`` its logarithm.
+``decimal_of``, the one printer of decimals, rounds a rational exactly
+and any other number once its enclosure, evaluated up the same ladder,
+fixes every printed digit.  ``point`` reads a library number from a
+certified interval: exactly 0 when it contains 0, else its midpoint.
 
-mpmath bounds each 2^f and reads decimals and floats.  The functions
-that call it import it themselves, so values whose comparisons are
-decided without the ladder never load it.
+mpmath bounds each 2^f and evaluates intervals.  The functions that
+call it import it themselves, so values whose comparisons and decimals
+are decided without the ladder never load it.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -347,10 +349,6 @@ class ExactEntropy:
         ctx = _context(bits)
         return ctx.log(self.power_interval(bits)) / ctx.log(2)
 
-    def decimal(self, digits: int = 30) -> str:
-        """The value as a decimal string with the given significant digits."""
-        return decimal_of(self, digits)
-
     def __float__(self) -> float:
         return float(entropy_mpf(self, 64))
 
@@ -470,28 +468,64 @@ def compare_entropy(x: ExactEntropy, y: ExactEntropy) -> Comparison:
     )
 
 
-def decimal_of(value: ExactEntropy, digits: int = 30) -> str:
-    """Decimal rendering of an exact entropy to the given significant digits."""
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    import mpmath
+def _rounded(n: int, d: int, digits: int) -> str:
+    """n/d rounded half away from zero to the given significant digits,
+    written as mpmath's nstr writes it with strip_zeros=False."""
+    q = Context(prec=digits, rounding=ROUND_HALF_UP).divide(n, d)
+    if not q:
+        return "0.0"
+    sign = "-" if q.is_signed() else ""
+    text = "".join(map(str, q.as_tuple().digits)).ljust(digits, "0")
+    e = q.adjusted()
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            return f"{sign}0.{'0' * (-e - 1)}{text}"
+        return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
+    return f"{sign}{text[0]}.{text[1:]}e{'+' if e > 0 else ''}{e}"
 
+
+def _decided(box, digits: int):
+    """The rounding of the number an enclosure stands for: a rational's
+    outright, an interval's when both ends round alike, else None."""
+    if isinstance(box, (int, Fraction)):
+        return _rounded(box.numerator, box.denominator, digits)
+    from mpmath.libmp import to_rational
+
+    lo, hi = (_rounded(*to_rational(end), digits) for end in box._mpi_)
+    return lo if lo == hi else None
+
+
+def decimal_of(value, digits: int = 30):
+    """A rational, an ExactEntropy or an enclosure rounded to the given
+    significant digits, in mpmath's nstr format with trailing zeros kept.
+
+    An enclosure maps a working precision in bits to an interval, a
+    rational or a tuple of them (then a tuple of strings is returned).
+    Rationals round exactly; intervals are evaluated up the ladder until
+    both ends of each round alike (Ziv's test), so every printed digit
+    is certified, or PrecisionExhausted is raised at the cap.
+    """
+    if isinstance(value, ExactEntropy):
+        value = value._v if value.is_rational else value.interval
+    if not callable(value):
+        return _decided(value, digits)
     cap = max_precision_bits()
-    # Target enough slack that the interval width cannot disturb the
-    # requested digits.
     for bits in _precision_ladder(cap):
-        box = value.interval(bits)
-        with mpmath.workprec(bits):
-            lo = mpmath.mpf(box.a)
-            hi = mpmath.mpf(box.b)
-            width = hi - lo
-            scale = max(abs(lo), abs(hi), mpmath.mpf(1))
-            if width <= scale * mpmath.mpf(10) ** (-(digits + 5)):
-                mid = (lo + hi) / 2
-                return mpmath.nstr(mid, digits, strip_zeros=False)
-    raise PrecisionExhausted(
-        f"cannot render {value} to {digits} digits within {cap} bits"
-    )
+        boxes = value(bits)
+        many = type(boxes) is tuple
+        texts = [_decided(box, digits) for box in (boxes if many else (boxes,))]
+        if None not in texts:
+            return tuple(texts) if many else texts[0]
+    raise PrecisionExhausted(f"cannot round to {digits} digits within {cap} bits")
+
+
+def difference(x: ExactEntropy, y: ExactEntropy):
+    """x - y for decimal_of: exact when x = y or both are rational."""
+    if x == y:
+        return Fraction(0)
+    if x.is_rational and y.is_rational:
+        return x.as_fraction() - y.as_fraction()
+    return lambda bits: x.interval(bits) - y.interval(bits)
 
 
 def point(box, bits: int):

@@ -32,15 +32,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .engine import entropy_uniform, shannon_decomposition
 from .exact import (
     Comparison,
     ExactEntropy,
     PrecisionExhausted,
     compare_entropy,
-    entropy_mpf,
+    decimal_of,
+    difference,
 )
 from .macro import ZERO, AtomDef, MacroModel
 from .oracle import ModelOracle, expand_factored
@@ -453,15 +452,11 @@ def _check_axiom_9(oracle, config, rng) -> CheckOutcome:
         )
     left = entropy_uniform(lhs, oracle)
     right = entropy_uniform(rhs, oracle)
-    if (
-        compare_entropy(left, right + eq.tolerance) is Comparison.GREATER
-        or compare_entropy(right, left + eq.tolerance) is Comparison.GREATER
-    ):
-        with mpmath.workprec(192):
-            gap = abs(entropy_mpf(left, 192) - entropy_mpf(right, 192))
+    for high, low in ((left, right), (right, left)):
+        if compare_entropy(high, low + eq.tolerance) is Comparison.GREATER:
             return (
                 f"E={e!r}, e={eq.e!r}, x={eq.x!r}, y={eq.y!r}",
-                f"approximate witnesses miss by {mpmath.nstr(gap, 12)}, "
+                f"approximate witnesses miss by {decimal_of(difference(high, low), 12)}, "
                 f"beyond tolerance {eq.tolerance}",
             )
     return None
@@ -557,13 +552,11 @@ def _check_theorem_17(oracle, config, rng) -> CheckOutcome:
     """Entropy splits into mean state entropy plus Shannon information:
     the certified interval of the residual contains 0."""
     e = _uniform_state(oracle, config, rng)
-    residual = shannon_decomposition(e, oracle).residual()
-    if residual:
-        return (
-            f"E={e!r}",
-            f"decomposition residual {mpmath.nstr(residual, 8)} is certified nonzero",
-        )
-    return None
+    report = shannon_decomposition(e, oracle)
+    if 0 in report.residual_interval:
+        return None
+    residual = decimal_of(lambda bits: report.enclosure(bits)[-1], 8)
+    return (f"E={e!r}", f"decomposition residual {residual} is certified nonzero")
 
 
 def _check_cancellation(oracle, config, rng) -> CheckOutcome:
@@ -607,20 +600,6 @@ def run_axiom_report(oracle: ModelOracle, config: SuiteConfig) -> SuiteReport:
 
 def run_theorem_report(oracle: ModelOracle, config: SuiteConfig) -> SuiteReport:
     return _run_checks(oracle, config, THEOREM_CHECKS)
-
-
-def run_axiom_suite(
-    oracle: ModelOracle, config: SuiteConfig
-) -> List[CounterexampleRecord]:
-    """All axiom counterexamples; an empty list is a pass."""
-    return run_axiom_report(oracle, config).counterexamples
-
-
-def run_theorem_suite(
-    oracle: ModelOracle, config: SuiteConfig
-) -> List[CounterexampleRecord]:
-    """All theorem counterexamples; an empty list is a pass."""
-    return run_theorem_report(oracle, config).counterexamples
 
 
 # -- deliberately broken oracles for sensitivity testing ---------------

@@ -29,8 +29,8 @@ from eidothermo.harness import (
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
     SuiteConfig,
-    run_axiom_suite,
-    run_theorem_suite,
+    run_axiom_report,
+    run_theorem_report,
 )
 from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
@@ -49,7 +49,7 @@ def _brief(records, limit: int = 3) -> str:
 
 def test_criterion_01_macro_axiom_suite():
     start = time.monotonic()
-    records = run_axiom_suite(MacroModel(), SUITE_CONFIG)
+    records = run_axiom_report(MacroModel(), SUITE_CONFIG).counterexamples
     elapsed = time.monotonic() - start
     assert records == [], _brief(records)
     assert elapsed <= 60.0, f"macro axiom suite took {elapsed:.1f}s"
@@ -57,7 +57,7 @@ def test_criterion_01_macro_axiom_suite():
 
 def test_criterion_02_quantum_axiom_suite():
     start = time.monotonic()
-    records = run_axiom_suite(QuantumModel(), SUITE_CONFIG)
+    records = run_axiom_report(QuantumModel(), SUITE_CONFIG).counterexamples
     elapsed = time.monotonic() - start
     assert records == [], _brief(records)
     assert elapsed <= 60.0, f"quantum axiom suite took {elapsed:.1f}s"
@@ -249,6 +249,6 @@ def test_criterion_12_fault_injection_sensitivity():
         MutantWeightedRecords,
     ):
         mutant = mutant_cls()
-        records = run_axiom_suite(mutant, SUITE_CONFIG)
-        records += run_theorem_suite(mutant, SUITE_CONFIG)
+        records = run_axiom_report(mutant, SUITE_CONFIG).counterexamples
+        records += run_theorem_report(mutant, SUITE_CONFIG).counterexamples
         assert records, f"{mutant_cls.__name__} went undetected"

@@ -1,5 +1,7 @@
 """Command-line behavior: frozen outputs, structured format, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,9 +9,12 @@ from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eidothermo import cli
+from eidothermo import cli, exact, harness
 from eidothermo.harness import CheckResult, CounterexampleRecord, SuiteReport
 from eidothermo.scenario import MAX_EXPR_NESTING
 from eidothermo.states import ResourceCapError
@@ -22,6 +27,10 @@ state f4s1 = ((s1 + s1) + (s1 + s1))
 state f4s0 = ((s0 + s0) + (s0 + s0))
 eidostate Mix = { s0, s1 }
 """
+
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+DIGITS = str(SCENARIOS / "digits.txt")
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +182,7 @@ def test_check_failure_exit_code(capsys, szilard, monkeypatch):
     broken = SuiteReport(
         (CheckResult("Axiom 3", cases=30, counterexamples=[record]),)
     )
-    monkeypatch.setattr(cli, "run_axiom_report", lambda oracle, config: broken)
+    monkeypatch.setattr(harness, "run_axiom_report", lambda oracle, config: broken)
     code, out, _ = run_cli(
         capsys, "check-axioms", "--scenario", szilard, "--cases", "30"
     )
@@ -412,6 +421,17 @@ def test_exact_commands_load_no_mpmath_harness_or_quantum(szilard):
     assert lines[4:] == ["[]"]
 
 
+def test_cli_and_harness_import_loads_no_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eidothermo.cli, eidothermo.harness; "
+         "print('mpmath' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_package_import_loads_no_mpmath():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -439,3 +459,183 @@ def test_module_invocation(szilard):
     )
     assert proc.returncode == 0
     assert proc.stdout == "natural irreversible\n"
+
+
+# -- certified digits ----------------------------------------------------
+
+
+def test_landauer_margin_below_128_bits(capsys):
+    # log2(2*10^40 + 1) - log2(10^40) - 1 = 7.2e-41 lies below the
+    # 128-bit accuracy of either entropy; a 128-bit difference printed
+    # 0.0 here.
+    code, out, _ = run_cli(capsys, "landauer", "--scenario", DIGITS, "a", "b")
+    assert code == 0
+    assert out == "verdict: satisfied\nmargin: 7.21347520444481703679962340501e-41\n"
+
+
+def test_landauer_zero_margin_is_an_exact_equality(capsys, monkeypatch):
+    # log2 6 = log2 3 + 1: the zero is the exact comparison's, with no
+    # interval evaluated.
+    def no_intervals(bits):
+        raise AssertionError("an interval was evaluated")
+
+    monkeypatch.setattr(exact, "_context", no_intervals)
+    path = str(SCENARIOS / "dimensions.txt")
+    code, out, _ = run_cli(capsys, "landauer", "--scenario", path, "t", "x")
+    assert code == 0
+    assert out == "verdict: satisfied\nmargin: 0.0\n"
+
+
+def test_shannon_term_digits_are_certified(capsys):
+    # The 128-bit midpoint printed ...247; the value rounds to ...246.
+    code, out, _ = run_cli(capsys, "prob-report", "--scenario", DIGITS, "Tilt")
+    assert code == 0
+    assert "shannon information: 0.00000000486211581790425967102259554246\n" in out
+
+
+def test_rational_entropy_prints_without_intervals(capsys, monkeypatch, tmp_path):
+    def no_intervals(bits):
+        raise AssertionError("an interval was evaluated")
+
+    path = tmp_path / "third.txt"
+    path.write_text("model macro\natom t Q=1 S=1/3\neidostate T = { t }\n")
+    exact._pow2_bounds.cache_clear()
+    monkeypatch.setattr(exact, "_context", no_intervals)
+    code, out, _ = run_cli(capsys, "entropy", "--scenario", str(path), "T")
+    assert code == 0
+    assert out == "exponents: {1/3}\ndecimal: 0.333333333333333333333333333333\n"
+
+
+#: Bits of the plain mpmath numbers the printed digits are checked against.
+REFERENCE_BITS = 2048
+
+
+def _reference_text(value) -> str:
+    with mpmath.workprec(REFERENCE_BITS):
+        return mpmath.nstr(value, 30, strip_zeros=False)
+
+
+def _cli_lines(path, *argv) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--scenario", path]) == 0
+    return out.getvalue().splitlines()
+
+
+def _assert_digits(path, names, entropies, exact_margins):
+    """Runs entropy, prob, prob-report and landauer on the eidostate E of
+    the given members and checks every printed line against 2,048-bit
+    numbers.  Entropies are mpmath functions of nothing, so they are
+    evaluated at the reference precision; exact_margins maps the pairs
+    whose margin is known exactly to it."""
+    with mpmath.workprec(REFERENCE_BITS):
+        s = {n: f() for n, f in entropies.items()}
+        weights = {n: mpmath.mpf(2) ** s[n] for n in names}
+        total = sum(weights.values())
+        p = {n: weights[n] / total for n in names}
+        mean = sum(p[n] * s[n] for n in names)
+        shannon = -sum(p[n] * mpmath.log(p[n], 2) for n in names)
+        entropy = mpmath.log(total, 2)
+    assert _cli_lines(path, "entropy", "E")[1] == f"decimal: {_reference_text(entropy)}"
+    for n in names:
+        line = f"P({n} | E) = {_reference_text(p[n])}"
+        assert _cli_lines(path, "prob", n, "E") == [line]
+    report = _cli_lines(path, "prob-report", "E")
+    assert sorted(report[:-4]) == sorted(
+        f"P({n} | E) = {_reference_text(p[n])}" for n in names
+    )
+    assert report[-4:] == [
+        f"mean state entropy: {_reference_text(mean)}",
+        f"shannon information: {_reference_text(shannon) if len(names) > 1 else '0.0'}",
+        f"total entropy: {_reference_text(entropy)}",
+        "residual: 0.0",
+    ]
+    for a, b in zip(names, names[1:] + names[:1]):
+        lines = _cli_lines(path, "landauer", a, b)
+        if lines[0].startswith("inapplicable"):
+            continue
+        margin = exact_margins.get((a, b))
+        if margin is None:
+            with mpmath.workprec(REFERENCE_BITS):
+                want = _reference_text(s[b] - s[a] - 1)
+        elif margin:
+            want = _reference_text(mpmath.mpf(margin.numerator) / margin.denominator)
+        else:
+            want = "0.0"
+        assert lines[0] == "verdict: satisfied"
+        assert lines[1].split(" (exactly")[0] == f"margin: {want}", (a, b)
+
+
+@pytest.fixture(scope="module")
+def digits_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("digits")
+
+
+dimensions = st.one_of(
+    st.integers(1, 10**40),
+    st.integers(1, 64),
+    st.integers(0, 133).map(lambda k: 2**k),
+)
+
+
+@given(dims=st.lists(dimensions, min_size=1, max_size=4), twice=st.booleans(),
+       extra=st.integers(0, 2**20))
+@settings(max_examples=100, deadline=None)
+def test_quantum_digits_match_a_2048_bit_reference(digits_dir, dims, twice, extra):
+    # With twice set, the last member is twice the first plus a little,
+    # so landauer runs at a tiny margin.
+    if twice:
+        dims = dims + [2 * dims[0] + extra]
+    names = [f"x{i}" for i in range(len(dims))]
+    lines = ["model quantum"]
+    lines += [f"atom {n} dim={d} len={max(1, (d - 1).bit_length())}"
+              for n, d in zip(names, dims)]
+    lines.append("eidostate E = { " + ", ".join(names) + " }")
+    path = digits_dir / "quantum.txt"
+    path.write_text("\n".join(lines) + "\n")
+    entropies = {n: (lambda d=d: mpmath.log(d, 2)) for n, d in zip(names, dims)}
+    exact_margins = {
+        (a, b): Fraction(0)
+        for a, da in zip(names, dims) for b, db in zip(names, dims) if db == 2 * da
+    }
+    for a, da in zip(names, dims):
+        for b, db in zip(names, dims):
+            if da & (da - 1) == 0 and db & (db - 1) == 0 and db >= 2 * da:
+                exact_margins[a, b] = Fraction(db.bit_length() - da.bit_length() - 1)
+    _assert_digits(str(path), names, entropies, exact_margins)
+
+
+fresh_lambdas = st.integers(3, 16).flatmap(
+    lambda k: st.integers(0, 2**k).map(lambda n: Fraction(n, 2**k))
+)
+
+
+@given(data=st.data(), content=st.integers(1, 3), size=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_macro_digits_match_a_2048_bit_reference(digits_dir, data, content, size):
+    lines = ["model macro", "atom r Q=0 S=0/1"]
+    names, values = [], {}
+    for i in range(size):
+        lams = data.draw(st.lists(fresh_lambdas, min_size=content, max_size=content))
+        leaves = []
+        for j, lam in enumerate(lams):
+            lines.append(f"atom a{i}_{j} Q=1 S={lam.numerator}/{lam.denominator}")
+            leaves.append(f"a{i}_{j}")
+        if data.draw(st.booleans()):
+            leaves.append("r")
+        name = expr = leaves[0]
+        for leaf in leaves[1:]:
+            name, expr = f"m{i}", f"({expr} + {leaf})"
+        if expr != name:
+            lines.append(f"state {name} = {expr}")
+        names.append(name)
+        values[name] = sum(lams, Fraction(0))
+    lines.append("eidostate E = { " + ", ".join(names) + " }")
+    path = digits_dir / "macro.txt"
+    path.write_text("\n".join(lines) + "\n")
+    entropies = {
+        n: (lambda v=v: mpmath.mpf(v.numerator) / v.denominator)
+        for n, v in values.items()
+    }
+    exact_margins = {(a, b): values[b] - values[a] - 1 for a in names for b in names}
+    _assert_digits(str(path), names, entropies, exact_margins)

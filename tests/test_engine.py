@@ -12,9 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eidothermo.cli import _mpf_decimal
 from eidothermo.engine import (
-    DEFAULT_BITS,
     ImpossibleProcessError,
     IrreversibilityEstimate,
     MinInfoStatus,
@@ -32,7 +30,7 @@ from eidothermo.engine import (
     min_information_to_transform,
     shannon_decomposition,
 )
-from eidothermo.exact import ExactEntropy, entropy_mpf
+from eidothermo.exact import FIRST_BITS, ExactEntropy, entropy_mpf
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import ModelOracle
 from eidothermo.quantum import QuantumModel
@@ -233,20 +231,27 @@ def _power_sum(value):
 def _reference_decomposition(e, oracle):
     """The decomposition the enclosure replaced: weights from the exponent
     multisets, then probabilities, <S>, H and log2 of the total weight in
-    plain mpf at DEFAULT_BITS.  Returns the support and the three sums."""
+    plain mpf at FIRST_BITS.  Returns the support and the three sums."""
     members = e.members
-    with mpmath.workprec(DEFAULT_BITS):
+    with mpmath.workprec(FIRST_BITS):
         weights = [_power_sum(oracle.state_entropy(m)) for m in members]
         total_weight = sum(weights, mpmath.mpf(0))
         support = {m: w / total_weight for m, w in zip(members, weights)}
         mean = mpmath.mpf(0)
         shannon = mpmath.mpf(0)
         for m, p in support.items():
-            mean += p * entropy_mpf(oracle.state_entropy(m), DEFAULT_BITS)
+            mean += p * entropy_mpf(oracle.state_entropy(m), FIRST_BITS)
             if p > 0:
                 shannon -= p * mpmath.log(p, 2)
         total = mpmath.log(total_weight, 2)
     return support, mean, shannon, total
+
+
+def _mpf_decimal(value) -> str:
+    """A number printed as the CLI once printed probabilities and the
+    decomposition: nstr at 30 digits of a 128-bit number."""
+    with mpmath.workprec(FIRST_BITS):
+        return mpmath.nstr(value, 30, strip_zeros=False)
 
 
 def _assert_matches_reference(e, oracle):
@@ -318,7 +323,7 @@ def test_decomposition_residual_is_certified_at_large_dimensions(dims):
     report = shannon_decomposition(e, model)
     assert 0 in report.residual_interval
     assert report.residual() == 0
-    with mpmath.workprec(DEFAULT_BITS):
+    with mpmath.workprec(FIRST_BITS):
         assert abs(sum(report.support.values()) - 1) < mpmath.mpf(2) ** -120
 
 

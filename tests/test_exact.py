@@ -151,6 +151,28 @@ def test_decimal_pads_exact_values():
     assert decimal_of(ExactEntropy([0, 0]), 30) == "1." + "0" * 29
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 40))
+@settings(max_examples=300)
+def test_decimal_of_rationals_matches_nstr(x, digits):
+    # A float is an exact dyadic rational, so nstr reads its exact value.
+    want = mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    assert decimal_of(Fraction(x), digits) == want
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(0), "0.0"),
+    (Fraction(-3, 2), "-1.50000000000000000000000000000"),
+    (Fraction(1, 10**9), "0.00000000100000000000000000000000000000"),
+    (Fraction(1, 10**10), "1.00000000000000000000000000000e-10"),
+    (Fraction(10**29), "100000000000000000000000000000."),
+    (Fraction(10**30), "1.00000000000000000000000000000e+30"),
+    (Fraction(10**30 - 1, 10**29) + Fraction(95, 10**31), "10.0000000000000000000000000000"),
+])
+def test_decimal_of_rational_formats(value, text):
+    assert decimal_of(value, 30) == text
+    assert decimal_of(ExactEntropy.from_rational(value), 30) == text
+
+
 def test_entropy_mpf_close():
     approx = entropy_mpf(ExactEntropy([0, 1]), 128)
     assert abs(float(approx) - 1.584962500721156) < 1e-12
@@ -445,7 +467,7 @@ def test_equality_matches_reference(xs, ys):
 @given(exponent_lists)
 @settings(max_examples=40, deadline=None)
 def test_decimal_matches_reference(xs):
-    assert ExactEntropy(xs).decimal(30) == ref_decimal(ref_canonical(xs), 30)
+    assert decimal_of(ExactEntropy(xs), 30) == ref_decimal(ref_canonical(xs), 30)
 
 
 # -- the enclosure and the floor against the interval reference ----------
@@ -482,7 +504,7 @@ def test_float_and_decimal_match_reference(xs):
     ref_lo, ref_hi = _endpoints(_ref_log2(64, ref), 64)
     with mpmath.workprec(64):
         assert float(value) == float((ref_lo + ref_hi) / 2)
-    assert value.decimal(30) == ref_decimal(ref, 30)
+    assert decimal_of(value, 30) == ref_decimal(ref, 30)
 
 
 @given(wide_exponent_lists)

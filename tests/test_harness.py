@@ -10,8 +10,8 @@ import mpmath
 import pytest
 
 from eidothermo import harness
-from eidothermo.engine import DEFAULT_BITS, entropy_uniform, shannon_decomposition
-from eidothermo.exact import _context, entropy_mpf
+from eidothermo.engine import entropy_uniform, shannon_decomposition
+from eidothermo.exact import FIRST_BITS, _context, entropy_mpf
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -23,9 +23,7 @@ from eidothermo.harness import (
     _check_axiom_9,
     _check_theorem_17,
     run_axiom_report,
-    run_axiom_suite,
     run_theorem_report,
-    run_theorem_suite,
 )
 from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
@@ -65,14 +63,14 @@ def test_check_labels_are_stable():
 
 def test_macro_model_passes_fast_suites():
     model = MacroModel()
-    assert run_axiom_suite(model, FAST) == []
-    assert run_theorem_suite(model, FAST) == []
+    assert run_axiom_report(model, FAST).counterexamples == []
+    assert run_theorem_report(model, FAST).counterexamples == []
 
 
 def test_quantum_model_passes_fast_suites():
     model = QuantumModel()
-    assert run_axiom_suite(model, FAST) == []
-    assert run_theorem_suite(model, FAST) == []
+    assert run_axiom_report(model, FAST).counterexamples == []
+    assert run_theorem_report(model, FAST).counterexamples == []
 
 
 def test_report_covers_every_check():
@@ -85,15 +83,17 @@ def test_report_covers_every_check():
 
 def test_runs_are_deterministic():
     config = SuiteConfig(cases_per_check=80, seed=7)
-    first = run_axiom_suite(MutantFlippedEntropyOrder(), config)
-    second = run_axiom_suite(MutantFlippedEntropyOrder(), config)
+    first = run_axiom_report(MutantFlippedEntropyOrder(), config).counterexamples
+    second = run_axiom_report(MutantFlippedEntropyOrder(), config).counterexamples
     assert first and first == second
 
 
 def test_different_seeds_draw_different_inputs():
-    one = run_axiom_suite(MutantFlippedEntropyOrder(), SuiteConfig(80, seed=1))
-    two = run_axiom_suite(MutantFlippedEntropyOrder(), SuiteConfig(80, seed=2))
-    assert {r.inputs for r in one} != {r.inputs for r in two}
+    one = run_axiom_report(MutantFlippedEntropyOrder(), SuiteConfig(80, seed=1))
+    two = run_axiom_report(MutantFlippedEntropyOrder(), SuiteConfig(80, seed=2))
+    assert {r.inputs for r in one.counterexamples} != {
+        r.inputs for r in two.counterexamples
+    }
 
 
 def test_stability_anomalies_are_inconclusive_not_failures():
@@ -117,23 +117,23 @@ def test_bounded_demon_search_is_inconclusive_in_quantum():
 
 def test_drop_content_mutant_is_caught():
     config = SuiteConfig(cases_per_check=120, seed=42)
-    records = run_axiom_suite(MutantDropContentCriterion(), config)
-    records += run_theorem_suite(MutantDropContentCriterion(), config)
+    records = run_axiom_report(MutantDropContentCriterion(), config).counterexamples
+    records += run_theorem_report(MutantDropContentCriterion(), config).counterexamples
     assert records
     assert {r.check_id for r in records} >= {"Theorem 9"}
 
 
 def test_flipped_entropy_mutant_is_caught():
     config = SuiteConfig(cases_per_check=120, seed=42)
-    records = run_axiom_suite(MutantFlippedEntropyOrder(), config)
+    records = run_axiom_report(MutantFlippedEntropyOrder(), config).counterexamples
     assert records
     assert "Axiom 3" in {r.check_id for r in records}
 
 
 def test_drop_nonuniform_mutant_is_caught():
-    records = run_axiom_suite(
+    records = run_axiom_report(
         MutantDropNonUniformCriterion(), SuiteConfig(cases_per_check=20, seed=42)
-    )
+    ).counterexamples
     assert "Axiom 3" in {r.check_id for r in records}
 
 
@@ -149,7 +149,7 @@ def test_weighted_records_mutant_is_caught_constructively():
 
 def test_counterexample_records_carry_replay_data():
     config = SuiteConfig(cases_per_check=120, seed=42)
-    records = run_axiom_suite(MutantFlippedEntropyOrder(), config)
+    records = run_axiom_report(MutantFlippedEntropyOrder(), config).counterexamples
     sample = records[0]
     assert sample.check_id.startswith("Axiom")
     assert sample.seed > 0
@@ -221,14 +221,22 @@ def test_axiom_9_tolerance_verdict_is_exact():
 def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypatch):
     """A report whose entropy misses <S> + H by 2^-100 is a counterexample:
     its certified residual interval excludes 0.  A float tolerance of
-    1e-12 let such a report pass."""
+    1e-12 let such a report pass.  The message prints the residual from
+    the report's enclosure, so the offset goes into both."""
     config = SuiteConfig()
-    offset = _context(DEFAULT_BITS).mpf(2) ** -100
+    offset = _context(FIRST_BITS).mpf(2) ** -100
 
     def off_by_offset(e, oracle):
         report = shannon_decomposition(e, oracle)
+
+        def enclosure(bits):
+            *numbers, residual = report.enclosure(bits)
+            return (*numbers, residual + offset)
+
         return dataclasses.replace(
-            report, residual_interval=report.residual_interval + offset
+            report,
+            residual_interval=report.residual_interval + offset,
+            enclosure=enclosure,
         )
 
     for model in (MacroModel(), QuantumModel()):
@@ -237,7 +245,7 @@ def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypat
         outcome = _check_theorem_17(model, config, random.Random(7))
         monkeypatch.undo()
         assert outcome is not None
-        assert outcome[1].endswith("e-31 is certified nonzero"), outcome
+        assert outcome[1].endswith(" 7.8886091e-31 is certified nonzero"), outcome
 
 
 if __name__ == "__main__":

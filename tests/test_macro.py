@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eidothermo import engine, states
-from eidothermo.exact import Comparison, ExactEntropy, compare_entropy
+from eidothermo.exact import Comparison, ExactEntropy, compare_entropy, decimal_of
 from eidothermo.macro import (
     AtomDef,
     MacroModel,
@@ -96,7 +96,7 @@ def test_entropy_exact_bit_state(model):
 
 def test_entropy_exact_log2_3(model):
     e = model.registry.entropy_exact(Eidostate([S0, S1]))
-    assert e.decimal(6) == "1.58496"
+    assert decimal_of(e, 6) == "1.58496"
 
 
 def test_entropy_exact_singleton(model):
