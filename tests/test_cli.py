@@ -473,13 +473,19 @@ def test_landauer_margin_below_128_bits(capsys):
     assert out == "verdict: satisfied\nmargin: 7.21347520444481703679962340501e-41\n"
 
 
-def test_landauer_zero_margin_is_an_exact_equality(capsys, monkeypatch):
-    # log2 6 = log2 3 + 1: the zero is the exact comparison's, with no
-    # interval evaluated.
+def _forbid_intervals(monkeypatch):
+    """Make every interval evaluation, cached 2^f bounds included, fail."""
     def no_intervals(bits):
         raise AssertionError("an interval was evaluated")
 
+    exact._pow2_bounds.cache_clear()
     monkeypatch.setattr(exact, "_context", no_intervals)
+
+
+def test_landauer_zero_margin_is_an_exact_equality(capsys, monkeypatch):
+    # log2 6 = log2 3 + 1: the zero is the exact comparison's, with no
+    # interval evaluated.
+    _forbid_intervals(monkeypatch)
     path = str(SCENARIOS / "dimensions.txt")
     code, out, _ = run_cli(capsys, "landauer", "--scenario", path, "t", "x")
     assert code == 0
@@ -494,13 +500,9 @@ def test_shannon_term_digits_are_certified(capsys):
 
 
 def test_rational_entropy_prints_without_intervals(capsys, monkeypatch, tmp_path):
-    def no_intervals(bits):
-        raise AssertionError("an interval was evaluated")
-
     path = tmp_path / "third.txt"
     path.write_text("model macro\natom t Q=1 S=1/3\neidostate T = { t }\n")
-    exact._pow2_bounds.cache_clear()
-    monkeypatch.setattr(exact, "_context", no_intervals)
+    _forbid_intervals(monkeypatch)
     code, out, _ = run_cli(capsys, "entropy", "--scenario", str(path), "T")
     assert code == 0
     assert out == "exponents: {1/3}\ndecimal: 0.333333333333333333333333333333\n"
@@ -524,10 +526,10 @@ def _cli_lines(path, *argv) -> list:
 
 def _assert_digits(path, names, entropies, exact_margins):
     """Runs entropy, prob, prob-report and landauer on the eidostate E of
-    the given members and checks every printed line against 2,048-bit
-    numbers.  Entropies are mpmath functions of nothing, so they are
-    evaluated at the reference precision; exact_margins maps the pairs
-    whose margin is known exactly to it."""
+    the named members and checks every printed line against 2,048-bit
+    numbers.  entropies maps each name to a function that gives its
+    entropy as an mpmath number at the working precision; exact_margins
+    maps each pair whose Landauer margin is known exactly to it."""
     with mpmath.workprec(REFERENCE_BITS):
         s = {n: f() for n, f in entropies.items()}
         weights = {n: mpmath.mpf(2) ** s[n] for n in names}
