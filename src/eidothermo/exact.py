@@ -197,8 +197,11 @@ class ExactEntropy:
 
     @classmethod
     def from_rational(cls, value) -> "ExactEntropy":
-        """The exact rational value itself (a one-term sum log2 2^value)."""
-        return _new(Fraction(value))
+        """The exact rational value itself (a one-term sum log2 2^value).
+
+        A ``Fraction`` is stored as it is; any other rational is converted.
+        """
+        return _new(value if type(value) is Fraction else Fraction(value))
 
     @classmethod
     def log2_of_int(cls, n: int) -> "ExactEntropy":

@@ -41,7 +41,7 @@ from .exact import (
     decimal_of,
     difference,
 )
-from .macro import ZERO, AtomDef, MacroModel
+from .macro import ZERO, AtomDef, MacroModel, as_exact
 from .oracle import ModelOracle, expand_factored
 from .states import (
     Atom,
@@ -628,7 +628,7 @@ class MutantFlippedEntropyOrder(MacroModel):
 
     def _s_criterion(self, sa, sb) -> bool:
         if sa is not None and sb is not None:
-            return compare_entropy(sa, sb) is not Comparison.LESS
+            return compare_entropy(as_exact(sa), as_exact(sb)) is not Comparison.LESS
         return super()._s_criterion(sa, sb)
 
 

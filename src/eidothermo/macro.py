@@ -23,12 +23,17 @@ per model.  The arrow holds when three criteria do, each one method:
   present with initial entropy <= final entropy.
 
 The entropy totals of the uniform parts are summed only once the first
-two criteria have passed: the rational terms as one ``Fraction``, which
-becomes one exact value, and the irrational ones added to it.
+two criteria have passed: the rational terms as one integer numerator
+over their least common denominator, which becomes one ``Fraction``,
+and the irrational ones, such as log2 3 of ``InformationState(3)``,
+added to it as exact values.  A total is a ``Fraction`` exactly when it
+is rational.
 
-All comparisons are exact (``exact.compare_entropy``); undecided
-entropy comparisons surface as errors rather than guesses.  A state
-equivalence counts its atoms by the exact floor of the entropy.
+All comparisons are exact: two rational totals, or a rational total
+and zero, compare as ``Fraction``s, and only an irrational total goes
+to ``exact.compare_entropy``, whose undecided comparisons surface as
+errors rather than guesses.  A state equivalence counts its atoms by
+the exact floor of the entropy.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
@@ -60,6 +66,11 @@ Prime = Union[Eidostate, InformationState]
 
 #: An entropy value: a ``Fraction`` when rational.
 Entropy = Union[Fraction, ExactEntropy]
+
+
+def as_exact(value: Entropy) -> ExactEntropy:
+    """An entropy value as the ``ExactEntropy`` that ``compare_entropy`` takes."""
+    return value if isinstance(value, ExactEntropy) else ExactEntropy.from_rational(value)
 
 
 @dataclass(frozen=True)
@@ -244,23 +255,33 @@ class MacroModel(ModelOracle):
             raise ValueError("empty product has no primes")
         return non_uniform, content, terms
 
-    def _entropy_total(self, terms: list) -> ExactEntropy:
-        """Total entropy of a nonempty uniform part: the rational terms
-        summed as one ``Fraction``, then the irrational ones added."""
+    def _entropy_total(self, terms: list) -> Entropy:
+        """Total entropy of a nonempty uniform part: a ``Fraction`` when
+        every term is rational, else an ``ExactEntropy``.
+
+        The rational terms are summed as one integer numerator over
+        their least common denominator, so at most one ``Fraction`` is
+        built; the irrational ones are added to it as exact values.
+        """
         s_value = self.registry.s_value
-        rational = None
+        num, den = 0, 1
         irrational: Optional[ExactEntropy] = None
         for value, mult in terms:
             if isinstance(value, StateExpr):
                 value = s_value(value)
-            part = value * mult
-            if isinstance(part, Fraction):
-                rational = part if rational is None else rational + part
-            else:
+            if type(value) is not Fraction:
+                part = value * mult
                 irrational = part if irrational is None else irrational + part
+                continue
+            d = value.denominator
+            if den % d:
+                scale = d // gcd(den, d)
+                num *= scale
+                den *= scale
+            num += value.numerator * mult * (den // d)
         if irrational is None:
-            return ExactEntropy.from_rational(rational)
-        return irrational + rational if rational else irrational
+            return Fraction(num, den)
+        return irrational + Fraction(num, den) if num else irrational
 
     # -- the arrow ----------------------------------------------------
 
@@ -285,19 +306,27 @@ class MacroModel(ModelOracle):
         """Content is conserved; an absent uniform part (None) carries none."""
         return (qa or 0) == (qb or 0)
 
-    def _s_criterion(
-        self, sa: Optional[ExactEntropy], sb: Optional[ExactEntropy]
-    ) -> bool:
-        """Entropy does not decrease; None marks an absent uniform part."""
+    def _s_criterion(self, sa: Optional[Entropy], sb: Optional[Entropy]) -> bool:
+        """Entropy does not decrease; None marks an absent uniform part.
+
+        Rational totals are decided as ``Fraction``s; only an irrational
+        one goes to ``compare_entropy``.
+        """
         if sa is None and sb is None:
             return True
         if sb is None:
             # Only the initial side has a uniform part: it must be
             # entropy-free to be absorbable.
+            if type(sa) is Fraction:
+                return sa == 0
             return compare_entropy(sa, ZERO) is Comparison.EQUAL
         if sa is None:
+            if type(sb) is Fraction:
+                return sb >= 0
             return compare_entropy(sb, ZERO) is not Comparison.LESS
-        return compare_entropy(sa, sb) is not Comparison.GREATER
+        if type(sa) is Fraction and type(sb) is Fraction:
+            return sa <= sb
+        return compare_entropy(as_exact(sa), as_exact(sb)) is not Comparison.GREATER
 
     def _information_primes(self, info: InformationState):
         """The (prime, count) items a size-only information state stands for.

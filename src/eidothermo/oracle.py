@@ -53,6 +53,10 @@ class InformationState:
     def __len__(self) -> int:
         return self.n
 
+    def __hash__(self) -> int:
+        # The generated hash would build the tuple (n,) on every call.
+        return hash(self.n)
+
 
 #: Draws ``random_uniform_eidostate`` makes before settling for a singleton.
 UNIFORM_DRAW_ATTEMPTS = 20

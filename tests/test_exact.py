@@ -533,3 +533,11 @@ def test_floor_pinned_cases():
     assert ExactEntropy.from_rational(-5).floor() == -5
     assert ExactEntropy.from_rational(0).floor() == 0
     assert ExactEntropy.from_rational(5).floor() == 5
+
+
+def test_from_rational_keeps_a_fraction_and_converts_other_rationals():
+    value = Fraction(7, 3)
+    assert ExactEntropy.from_rational(value).as_fraction() is value
+    three = ExactEntropy.from_rational(3).as_fraction()
+    assert type(three) is Fraction and three == 3
+    assert ExactEntropy.from_rational(3) == ExactEntropy([3])

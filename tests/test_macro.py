@@ -1,6 +1,7 @@
 """Tests for the macrostate model."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from eidothermo.harness import (
     MutantWeightedRecords,
 )
 from eidothermo.oracle import InformationState, expand_factored
-from eidothermo.states import Atom, Eidostate, Pair, combine, singleton
+from eidothermo.states import Atom, Eidostate, Pair, StateExpr, combine, singleton
 
 R = Atom("r")
 S0 = Atom("s_0")
@@ -463,7 +464,14 @@ def test_entropy_total_needs_no_prime_lookups(monkeypatch):
     when the entropy sum looked every prime up again in the prime cache,
     and 28,601 when only the walk's own lookups were left.  Singletons
     are now read from the registry, and the bit and the record enter by
-    their size, so the prime cache is never asked about an eidostate."""
+    their size, so the prime cache is never asked about an eidostate.
+
+    Every entropy of these 97 arrows is rational, so no arrow wraps a
+    total in an ``ExactEntropy`` or compares one: the cycle made 97
+    ``compare_entropy`` and 218 ``from_rational`` calls when each total
+    became an exact value.  The ``from_rational`` calls left are the
+    engine's two ``state_entropy`` reads per bracket for its search
+    bound."""
     model = MacroModel()
     draw = random.Random(42)
     pairs = []
@@ -473,14 +481,135 @@ def test_entropy_total_needs_no_prime_lookups(monkeypatch):
                       model.random_state_with_content(draw, q)))
     for a, b in pairs:
         engine.irreversibility_estimate(a, b, 64, model)
-    calls = [0]
-    original = states.Eidostate.__eq__
+    eidostate_eqs = _count_calls(monkeypatch, states.Eidostate, "__eq__")
+    arrows = _count_calls(monkeypatch, MacroModel, "arrow_combined")
+    wraps = _count_calls(monkeypatch, ExactEntropy, "from_rational")
+    compares = Counter()
 
-    def counted(self, other):
-        calls[0] += 1
-        return original(self, other)
+    def compare(x, y):
+        compares["calls"] += 1
+        return compare_entropy(x, y)
 
-    monkeypatch.setattr(states.Eidostate, "__eq__", counted)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("eidothermo") and \
+                getattr(module, "compare_entropy", None) is compare_entropy:
+            monkeypatch.setattr(module, "compare_entropy", compare)
     for a, b in pairs:
         engine.irreversibility_estimate(a, b, 64, model)
-    assert calls[0] == 0
+    assert eidostate_eqs["calls"] == 0
+    assert arrows["calls"] == 97
+    assert compares["calls"] == 0
+    assert wraps["calls"] == 2 * len(pairs)
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Count the calls of a method or classmethod defined on cls."""
+    counts = Counter()
+    original = cls.__dict__[name]
+    function = original.__func__ if isinstance(original, classmethod) else original
+
+    def counted(*args, **kwargs):
+        counts["calls"] += 1
+        return function(*args, **kwargs)
+
+    wrapper = classmethod(counted) if isinstance(original, classmethod) else counted
+    monkeypatch.setattr(cls, name, wrapper)
+    return counts
+
+
+def _reference_entropy_sum(model, terms):
+    """The per-term sum the integer sum replaced: each rational term an
+    ``ExactEntropy`` times its multiplicity, added one by one."""
+    total = None
+    for value, mult in terms:
+        if isinstance(value, StateExpr):
+            value = model.registry.s_value(value)
+        if isinstance(value, Fraction):
+            value = ExactEntropy.from_rational(value)
+        part = value * mult
+        total = part if total is None else total + part
+    return total
+
+
+def _reference_entropy_arrow(model, parts_a, parts_b):
+    """``arrow_combined`` with the entropy criterion decided by
+    ``compare_entropy`` on exact sums; the flipped-order mutant's
+    comparison of two uniform parts runs backwards."""
+    n_a, qa, u_a = model._walk(parts_a)
+    n_b, qb, u_b = model._walk(parts_b)
+    if not model._n_criterion(n_a, n_b):
+        return False
+    if not model._q_criterion(qa if u_a else None, qb if u_b else None):
+        return False
+    zero = ExactEntropy.from_rational(0)
+    sa = _reference_entropy_sum(model, u_a) if u_a else None
+    sb = _reference_entropy_sum(model, u_b) if u_b else None
+    if sa is None and sb is None:
+        return True
+    if sb is None:
+        return compare_entropy(sa, zero) is Comparison.EQUAL
+    if sa is None:
+        return compare_entropy(sb, zero) is not Comparison.LESS
+    if isinstance(model, MutantFlippedEntropyOrder):
+        return compare_entropy(sa, sb) is not Comparison.LESS
+    return compare_entropy(sa, sb) is not Comparison.GREATER
+
+
+#: A factor that is its own non-uniform prime: its members differ in content.
+NON_UNIFORM = Eidostate([R, S1])
+
+ENTROPY_FACTOR_KINDS = ("state", "lambdas", "eidostate", "sized")
+
+
+def _draw_entropy_factor(data, model, rng, content):
+    """A uniform factor of the given content."""
+    kind = data.draw(st.sampled_from(ENTROPY_FACTOR_KINDS), label="kind")
+    if kind == "state":
+        return singleton(model.random_state_with_content(rng, content))
+    if kind == "lambdas":
+        # Atoms of any rational entropy, so the denominators of one sum
+        # differ and need not divide one another.
+        state = R
+        for _ in range(content):
+            lam = data.draw(st.fractions(0, 1, max_denominator=12), label="lambda")
+            state = Pair(model.registry.ensure_s_atom(lam), state)
+        return singleton(state)
+    if kind == "eidostate":
+        # Members of one content whose entropies differ in general, so
+        # the factor's entropy is irrational.
+        return Eidostate([model.random_state_with_content(rng, content)
+                          for _ in range(data.draw(st.integers(2, 3), label="size"))])
+    if content:
+        # An information state carries no content.
+        return singleton(model.random_state_with_content(rng, content))
+    return InformationState(data.draw(st.integers(1, 9), label="n"))
+
+
+def _draw_entropy_side(data, model, rng, skeleton, non_uniform):
+    """A factored side: the non-uniform factor at the shared multiplicity,
+    then one uniform factor per (content, multiplicity) of the skeleton,
+    so both sides carry the same content, or no uniform part at all."""
+    parts = [(NON_UNIFORM, non_uniform)]
+    if not data.draw(st.integers(0, 4), label="uniform"):
+        return parts
+    return parts + [(_draw_entropy_factor(data, model, rng, content), mult)
+                    for content, mult in skeleton]
+
+
+@pytest.mark.parametrize("model_cls", MACRO_SUBCLASSES, ids=lambda cls: cls.name)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_entropy_criterion_matches_exact_sums(model_cls, data):
+    """The integer sum of rational terms and the Fraction comparisons
+    decide every arrow as the exact per-term sums and compare_entropy do."""
+    model = model_cls()
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    skeleton = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                                  min_size=1, max_size=3), label="skeleton")
+    non_uniform = data.draw(st.integers(1, 2), label="non-uniform")
+    parts_a = _draw_entropy_side(data, model, rng, skeleton, non_uniform)
+    parts_b = _draw_entropy_side(data, model, rng, skeleton, non_uniform)
+    want = _reference_entropy_arrow(model, parts_a, parts_b)
+    # Twice: once with the prime cache cold, once warm.
+    assert model.arrow_combined(parts_a, parts_b) == want
+    assert model.arrow_combined(parts_a, parts_b) == want

@@ -108,6 +108,13 @@ def test_information_state_is_a_size():
             InformationState(bad)
 
 
+def test_information_state_hashes_as_its_size():
+    # The generated dataclass hash would be hash((7,)), built per call.
+    assert hash(InformationState(7)) == hash(InformationState(7)) == hash(7)
+    assert hash(InformationState(3)) != hash(InformationState(7))
+    assert {InformationState(7): "seven"}[InformationState(7)] == "seven"
+
+
 @pytest.mark.parametrize("model_cls", MODELS, ids=lambda cls: cls.name)
 def test_arrow_with_information_state_matches_materialized(model_cls):
     model = model_cls()
