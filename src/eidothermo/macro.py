@@ -1,7 +1,8 @@
-"""The macrostate model: atoms carrying integer content and rational entropy.
+"""The macrostate model: atoms with integer content and entropy in [0, 1].
 
 Atoms are a record atom (content 0, entropy 0) and a family of unit
-content atoms with entropy values in [0,1].  Content and entropy extend
+content atoms with entropy values in [0,1], rational except for those
+the state equivalence below builds.  Content and entropy extend
 additively over pairing.  The arrow relation between eidostates is
 decided on their prime factorizations.  ``MacroModel._walk`` makes one
 pass over each side's (factor, multiplicity) list.  A singleton factor
@@ -32,8 +33,12 @@ is rational.
 All comparisons are exact: two rational totals, or a rational total
 and zero, compare as ``Fraction``s, and only an irrational total goes
 to ``exact.compare_entropy``, whose undecided comparisons surface as
-errors rather than guesses.  A state equivalence counts its atoms by
-the exact floor of the entropy.
+errors rather than guesses.
+
+The state equivalence of a uniform eidostate is exact: its last atom
+carries the entropy left over in [0, 1), an ``ExactEntropy`` when it is
+irrational.  Such atoms exist only inside a model, named from their
+exact value; scenarios declare rational entropies only.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .exact import Comparison, ExactEntropy, compare_entropy, entropy_mpf
+from .exact import Comparison, ExactEntropy, compare_entropy
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
 from .states import Atom, Eidostate, Pair, StateExpr, fold, prime_factors
 
@@ -56,6 +61,7 @@ RECORD_ATOM_ID = "r"
 MECHANICAL_ATOM_ID = "s_0"
 
 ZERO = ExactEntropy.from_rational(0)
+ONE = ExactEntropy.from_rational(1)
 
 #: Entropies of the standard unit-content atoms, in the order the
 #: generators draw from.
@@ -73,25 +79,39 @@ def as_exact(value: Entropy) -> ExactEntropy:
     return value if isinstance(value, ExactEntropy) else ExactEntropy.from_rational(value)
 
 
+def as_entropy(value: ExactEntropy) -> Entropy:
+    """An exact value as an entropy value: its ``Fraction`` when rational."""
+    return value.as_fraction() if value.is_rational else value
+
+
 @dataclass(frozen=True)
 class AtomDef:
-    """A named atom with its content and entropy values."""
+    """A named atom with its content and entropy values.
+
+    The entropy is stored as a ``Fraction`` when rational and as an
+    ``ExactEntropy`` otherwise; either way it must lie in [0, 1].
+    """
 
     atom_id: str
     q: int
-    s: Fraction
+    s: Entropy
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 0:
             raise ValueError(f"atom {self.atom_id!r}: q must be a nonnegative integer")
-        s = Fraction(self.s)
+        s = as_entropy(self.s) if isinstance(self.s, ExactEntropy) else Fraction(self.s)
         object.__setattr__(self, "s", s)
-        if not 0 <= s <= 1:
+        # ExactEntropy compares only with ExactEntropy, and only an
+        # irrational value needs to.
+        if not (ZERO <= s <= ONE if isinstance(s, ExactEntropy) else 0 <= s <= 1):
             raise ValueError(f"atom {self.atom_id!r}: s must lie in [0, 1]")
 
 
-def s_atom_id(lam: Fraction) -> str:
-    """Canonical identifier for the unit-content atom with entropy lam."""
+def s_atom_id(lam: Entropy) -> str:
+    """Canonical identifier for the unit-content atom with entropy lam:
+    ``s_<p>/<q>`` for a rational, ``s_log2(...)`` for an irrational."""
+    if isinstance(lam, ExactEntropy):
+        return f"s_{lam}"
     lam = Fraction(lam)
     if lam.denominator == 1:
         return f"s_{lam.numerator}"
@@ -104,8 +124,8 @@ class MacroRegistry:
     def __init__(self, atoms: Iterable[AtomDef] = ()):  # noqa: D107
         self._atoms: Dict[str, AtomDef] = {}
         self._q_cache: Dict[StateExpr, int] = {}
-        self._s_cache: Dict[StateExpr, Fraction] = {}
-        self._s_atoms: Dict[Fraction, Atom] = {}
+        self._s_cache: Dict[StateExpr, Entropy] = {}
+        self._s_atoms: Dict[Entropy, Atom] = {}
         for a in atoms:
             self.register(a)
 
@@ -127,11 +147,15 @@ class MacroRegistry:
     def atom_ids(self) -> tuple:
         return tuple(self._atoms)
 
-    def ensure_s_atom(self, lam: Fraction) -> Atom:
-        """The unit-content atom with entropy lam, registering it if new."""
+    def ensure_s_atom(self, lam: Entropy) -> Atom:
+        """The unit-content atom with entropy lam, registering it if new.
+
+        An irrational lam is an ``ExactEntropy``; a rational one a ``Fraction``.
+        """
         atom = self._s_atoms.get(lam)
         if atom is None:
-            lam = Fraction(lam)
+            if not isinstance(lam, ExactEntropy):
+                lam = Fraction(lam)
             atom_id = s_atom_id(lam)
             if atom_id not in self._atoms:
                 self.register(AtomDef(atom_id, 1, lam))
@@ -154,7 +178,7 @@ class MacroRegistry:
             cached = fold(a, self._q_cache, lambda x: self.get(x.atom_id).q, operator.add)
         return cached
 
-    def s_value(self, a: StateExpr) -> Fraction:
+    def s_value(self, a: StateExpr) -> Entropy:
         cached = self._s_cache.get(a)
         if cached is None:
             cached = fold(a, self._s_cache, lambda x: self.get(x.atom_id).s, operator.add)
@@ -170,11 +194,13 @@ class MacroRegistry:
         """Entropy of a uniform eidostate from its member entropies."""
         if not self.is_uniform(e):
             raise ValueError(f"eidostate {e} is not uniform")
-        return ExactEntropy(self.s_value(m) for m in e)
+        return ExactEntropy.log2_sum_of_powers(as_exact(self.s_value(m)) for m in e)
 
 
-def _right_comb(leaf: Atom, n: int) -> StateExpr:
-    expr: StateExpr = leaf
+def _right_comb(leaf: Atom, n: int, last: Optional[Atom] = None) -> StateExpr:
+    """n atoms paired to the right: n - 1 copies of leaf, then last
+    (leaf again by default)."""
+    expr: StateExpr = leaf if last is None else last
     for _ in range(n - 1):
         expr = Pair(leaf, expr)
     return expr
@@ -207,7 +233,7 @@ class MacroModel(ModelOracle):
         else:
             content = self.registry.q_value(prime.members[0])
             entropy = self.registry.entropy_exact(prime)
-        return content, entropy.as_fraction() if entropy.is_rational else entropy
+        return content, as_entropy(entropy)
 
     def _walk(self, parts: FactoredState) -> Tuple[Dict[Prime, int], int, list]:
         """One pass over the factors of a factored product.
@@ -350,7 +376,7 @@ class MacroModel(ModelOracle):
     # -- oracle contract ----------------------------------------------
 
     def state_entropy(self, a: StateExpr) -> ExactEntropy:
-        return ExactEntropy.from_rational(self.registry.s_value(a))
+        return as_exact(self.registry.s_value(a))
 
     def components(self, a: StateExpr) -> tuple:
         return (Fraction(self.registry.q_value(a)),)
@@ -373,32 +399,24 @@ class MacroModel(ModelOracle):
         return tuple(_right_comb(leaf, n) for n in range(1, max_leaves + 1))
 
     def state_equivalence(self, e: Eidostate) -> StateEquivalence:
-        """Witnesses for E + x <-> e' + y with x -> y, built from the model atoms.
+        """Exact witnesses for E + x <-> e' + y with x -> y.
 
-        When the entropy of E is irrational the equality constraint has
-        no exact solution with rational atom entropies; the nearest
-        dyadic-rational construction is returned flagged approximate.
+        With S the entropy of E and n = floor(S) + 1, x is n atoms
+        ``s_0`` and y is n - 1 atoms ``s_1`` then one atom of entropy
+        S + 1 - n, in [0, 1): both carry content n, and y entropy S.
         """
         if not self.registry.is_uniform(e):
             raise ValueError("state equivalence requires a uniform eidostate")
         q = self.registry.q_value(e.members[0])
         sigma = self.registry.entropy_exact(e)
-        record = self.make_record()
-        s_zero = self.registry.ensure_s_atom(Fraction(0))
-        # The least integer above the entropy, so that each atom's share
-        # lies in [0, 1).
         n = sigma.floor() + 1
-        exact = sigma.is_rational
-        if exact:
-            lam = sigma.as_fraction() / n
-        else:
-            lam = _nearest_on_grid(sigma, n, LAMBDA_DENOMINATOR_CAP)
-        e_state = record if q == 0 else _right_comb(s_zero, q)
+        rest = sigma + (1 - n)
+        s_zero = self.registry.ensure_s_atom(Fraction(0))
+        last = self.registry.ensure_s_atom(as_entropy(rest))
+        e_state = self.make_record() if q == 0 else _right_comb(s_zero, q)
         x = _right_comb(s_zero, n)
-        y = _right_comb(self.registry.ensure_s_atom(lam), n)
-        # Each of the n atoms sits at most half a grid step off.
-        tolerance = Fraction(0) if exact else Fraction(n, 2 * LAMBDA_DENOMINATOR_CAP)
-        return StateEquivalence(e=e_state, x=x, y=y, exact=exact, tolerance=tolerance)
+        y = _right_comb(self.registry.ensure_s_atom(Fraction(1)), n, last)
+        return StateEquivalence(e=e_state, x=x, y=y)
 
     def information_blocked(self, a: Eidostate, b: Eidostate) -> bool:
         """No information state can help when contents or non-uniform parts differ."""
@@ -455,11 +473,3 @@ def _random_shape(rng: random.Random, leaves) -> StateExpr:
     cut = rng.randint(1, len(leaves) - 1)
     return Pair(_random_shape(rng, leaves[:cut]), _random_shape(rng, leaves[cut:]))
 
-
-def _nearest_on_grid(value: ExactEntropy, n: int, denominator: int) -> Fraction:
-    """The fraction k/denominator nearest to value/n, clamped to [0, 1]."""
-    import mpmath
-
-    with mpmath.workprec(256):
-        numerator = int(mpmath.nint(entropy_mpf(value, 256) / n * denominator))
-    return Fraction(min(max(numerator, 0), denominator), denominator)

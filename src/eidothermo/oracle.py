@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from .exact import ExactEntropy
@@ -68,19 +67,11 @@ FactoredState = Sequence[Tuple[Union[Eidostate, InformationState], int]]
 
 @dataclass(frozen=True)
 class StateEquivalence:
-    """Witnesses e, x, y with x -> y and E + x <-> e + y.
-
-    ``exact`` is False when the witnesses only satisfy the relations up
-    to the numeric precision of the model (the equality constraint has
-    no exact solution in the model's atom family).  ``tolerance`` then
-    bounds how far the entropies of the two sides may sit apart.
-    """
+    """Witnesses e, x, y with x -> y and E + x <-> e + y, both exactly."""
 
     e: StateExpr
     x: StateExpr
     y: StateExpr
-    exact: bool
-    tolerance: Fraction = Fraction(0)
 
 
 class ModelOracle(ABC):

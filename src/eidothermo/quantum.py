@@ -243,7 +243,7 @@ class QuantumModel(ModelOracle):
     def state_equivalence(self, e: Eidostate) -> StateEquivalence:
         unit = self.registry.ensure_dim(1)
         target = self.registry.ensure_dim(self.registry.eidostate_dim(e))
-        return StateEquivalence(e=unit, x=unit, y=target, exact=True)
+        return StateEquivalence(e=unit, x=unit, y=target)
 
     # -- generation ---------------------------------------------------
 

@@ -6,12 +6,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from eidothermo import harness
-from eidothermo.engine import entropy_uniform, shannon_decomposition
-from eidothermo.exact import FIRST_BITS, _context, entropy_mpf
+from eidothermo.engine import shannon_decomposition
+from eidothermo.exact import FIRST_BITS, _context
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -20,14 +19,16 @@ from eidothermo.harness import (
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
     SuiteConfig,
+    _case_seed,
     _check_axiom_9,
     _check_theorem_17,
+    _uniform_state,
     run_axiom_report,
     run_theorem_report,
 )
 from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
-from eidothermo.states import combine, singleton
+from eidothermo.states import Pair, combine, singleton
 
 FAST = SuiteConfig(cases_per_check=60, seed=42)
 
@@ -190,32 +191,40 @@ def test_suite_reports_are_pinned():
     assert not moved, f"suite rows moved: {moved}"
 
 
-class TightToleranceMacro(MacroModel):
-    """Approximate state equivalences whose tolerance sits 2^-90 below
-    the true entropy gap of their two sides."""
+class OffByTwoToTheMinus40Macro(MacroModel):
+    """State equivalences whose last atom of y sits 2^-40 above the exact
+    one, well inside a tolerance of n/2^17 on the entropy."""
 
     def state_equivalence(self, e):
         eq = super().state_equivalence(e)
-        if eq.exact:
-            return eq
-        lhs = combine(e, singleton(eq.x))
-        rhs = combine(singleton(eq.e), singleton(eq.y))
-        with mpmath.workprec(600):
-            gap = abs(
-                entropy_mpf(entropy_uniform(lhs, self), 600)
-                - entropy_mpf(entropy_uniform(rhs, self), 600)
-            ) - mpmath.mpf(2) ** -90
-            man, exp = gap.man_exp
-        return dataclasses.replace(eq, tolerance=Fraction(man) * Fraction(2) ** exp)
+        *leaves, last = eq.y.leaves()
+        y = self.registry.ensure_s_atom(self.registry.get(last.atom_id).s + Fraction(1, 2**40))
+        for leaf in reversed(leaves):
+            y = Pair(leaf, y)
+        return dataclasses.replace(eq, y=y)
 
 
-def test_axiom_9_tolerance_verdict_is_exact():
-    model = TightToleranceMacro()
+def test_axiom_9_flags_witnesses_off_by_two_to_the_minus_40():
+    model = OffByTwoToTheMinus40Macro()
     config = SuiteConfig()
-    outcomes = [_check_axiom_9(model, config, random.Random(seed)) for seed in range(200)]
-    missed = [o for o in outcomes if o is not None]
-    assert missed
-    assert all("beyond tolerance" in observed for _, observed in missed)
+    outcomes = [_check_axiom_9(model, config, random.Random(seed)) for seed in range(100)]
+    assert all(
+        o is not None and o[1] == "witnesses fail E + x <-> e + y" for o in outcomes
+    ), outcomes
+
+
+def test_axiom_4_first_clause_is_live_in_every_macro_case():
+    """The state-equivalence witnesses make E + x -> e + y hold, so the
+    subset clause of Axiom 4 is tested in every case at seed 42."""
+    model = MacroModel()
+    config = SuiteConfig(seed=42)
+    live = 0
+    for index in range(config.cases_per_check):
+        rng = random.Random(_case_seed(config.seed, "Axiom 4", index))
+        e = _uniform_state(model, config, rng)
+        eq = model.state_equivalence(e)
+        live += model.arrow(combine(e, singleton(eq.x)), singleton(Pair(eq.e, eq.y)))
+    assert live == config.cases_per_check
 
 
 def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypatch):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eidothermo import engine, states
+from eidothermo import engine, exact, states
 from eidothermo.exact import Comparison, ExactEntropy, compare_entropy, decimal_of
 from eidothermo.macro import (
     AtomDef,
     MacroModel,
     MacroRegistry,
+    as_exact,
     s_atom_id,
 )
 from eidothermo.harness import (
@@ -22,8 +23,11 @@ from eidothermo.harness import (
     MutantDropNonUniformCriterion,
     MutantFlippedEntropyOrder,
     MutantWeightedRecords,
+    SuiteConfig,
+    _case_seed,
+    _uniform_state,
 )
-from eidothermo.oracle import InformationState, expand_factored
+from eidothermo.oracle import InformationState, ModelOracle, expand_factored
 from eidothermo.states import Atom, Eidostate, Pair, StateExpr, combine, singleton
 
 R = Atom("r")
@@ -62,6 +66,22 @@ def test_s_atom_naming():
     assert s_atom_id(Fraction(1, 2)) == "s_1/2"
     assert s_atom_id(Fraction(0)) == "s_0"
     assert s_atom_id(Fraction(1)) == "s_1"
+
+
+def test_atom_def_keeps_an_irrational_entropy_exact():
+    """log2 3 - 1 lies in [0, 1] and stays an ExactEntropy; a rational
+    ExactEntropy becomes its Fraction; log2 3 itself is out of range."""
+    frac = ExactEntropy([-1, 0])
+    atom = AtomDef(s_atom_id(frac), 1, frac)
+    assert atom.atom_id == "s_log2(2^-1 + 2^0)"
+    assert atom.s == frac
+    assert AtomDef("x", 1, ExactEntropy.from_rational(Fraction(1, 2))).s == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        AtomDef("x", 1, ExactEntropy.log2_of_int(3))
+    reg = MacroRegistry([AtomDef("r", 0, Fraction(0))])
+    state = Pair(reg.ensure_s_atom(frac), reg.ensure_s_atom(Fraction(1)))
+    assert reg.s_value(state) == ExactEntropy.log2_of_int(3)
+    assert reg.entropy_exact(singleton(state)) == ExactEntropy.log2_of_int(3)
 
 
 def test_unregistered_atom_errors(model):
@@ -152,10 +172,9 @@ def test_make_information_state(model):
 def test_state_equivalence_bit_state(model):
     bit = model.make_bit_state()
     se = model.state_equivalence(bit)
-    assert se.exact
     assert se.e == R
     assert se.x == Pair(S0, S0)
-    assert se.y == Pair(SH, SH)
+    assert se.y == Pair(S1, S0)
     assert model.arrow(singleton(se.x), singleton(se.y))
     left = combine(bit, singleton(se.x))
     right = combine(singleton(se.e), singleton(se.y))
@@ -164,20 +183,45 @@ def test_state_equivalence_bit_state(model):
 
 def test_state_equivalence_singleton(model):
     se = model.state_equivalence(singleton(S0))
-    assert se.exact
     assert se.e == S0 and se.x == S0 and se.y == S0
 
 
-def test_state_equivalence_irrational_is_approximate(model):
-    e = Eidostate([S0, S1])
+def _no_ladder(cap):
+    raise AssertionError("an interval decided a state-equivalence relation")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_state_equivalence_is_exact(data):
+    """Every uniform eidostate gets exact witnesses: x -> y, and E + x
+    and e + y carry equal contents and entropies of one coefficient
+    form, so both arrows between them hold with no interval evaluated.
+    The last atom of y carries the entropy left over in [0, 1).  (x -> y
+    compares 0 with S(E), which may need the ladder.)"""
+    model = MacroModel()
+    source = data.draw(st.sampled_from(("uniform", "fresh", "suite")), label="source")
+    if source == "suite":
+        # The draws of the Axiom 4 and Axiom 9 checks at criterion 12's seed.
+        check_id = data.draw(st.sampled_from(("Axiom 4", "Axiom 9")), label="check")
+        index = data.draw(st.integers(0, 499), label="case")
+        rng = random.Random(_case_seed(42, check_id, index))
+        e = _uniform_state(model, SuiteConfig(seed=42), rng)
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # The generic draw builds members from random_atom, fresh lambdas included.
+        draw = MacroModel if source == "uniform" else ModelOracle
+        e = draw.random_uniform_eidostate(model, rng)
     se = model.state_equivalence(e)
-    assert not se.exact
-    assert model.arrow(singleton(se.x), singleton(se.y))
-    # The witnesses match contents exactly and entropy to the grid.
-    sigma = float(model.registry.entropy_exact(e).interval(64).a)
-    total = float(model.registry.s_value(se.y))
-    assert model.registry.q_value(se.y) == model.registry.q_value(se.x)
-    assert abs(sigma - total) < 2 / 2**16
+    reg = model.registry
+    *_, last = se.y.leaves()
+    assert as_exact(reg.get(last.atom_id).s).floor() == 0
+    assert reg.q_value(Pair(e.members[0], se.x)) == reg.q_value(Pair(se.e, se.y))
+    sx, sy = singleton(se.x), singleton(se.y)
+    assert model.arrow(sx, sy)
+    left, right = combine(e, sx), combine(singleton(se.e), sy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_precision_ladder", _no_ladder)
+        assert model.arrow(left, right) and model.arrow(right, left)
 
 
 def test_possible_iff_equal_content(model):
