@@ -24,9 +24,10 @@ climb too, capped by the EIDOTHERMO_MAX_BITS environment variable (bits,
 default 4096).  A printed 0.0 is an exact fact: an equality of entropies
 or the identity S(E) = <S> + H.
 
-A command loads only what it uses: mpmath when it evaluates an interval,
-the property-test harness for check-axioms and check-theorems, and the
-quantum model for quantum scenarios.
+A command loads only what it uses: the property-test harness for
+check-axioms and check-theorems, and the quantum model for quantum
+scenarios.  Intervals are integer arithmetic in exact, so no command
+loads mpmath.
 """
 
 from __future__ import annotations

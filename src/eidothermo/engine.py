@@ -7,15 +7,15 @@ estimator, demon planning (minimum information to enable a
 transformation) and the Landauer check.
 
 Probabilities and the decomposition read the weights 2^S(m) from the
-exact integer enclosures and are evaluated in interval arithmetic.  A
-library number is read at the first rung: the midpoint of its certified
-interval, or exactly 0 when the interval contains 0, and the residual
-of S(E) = <S> + H is certified.  For exact.decimal_of the same intervals
+exact integer enclosures and are evaluated in the interval arithmetic of
+exact.Interval.  A probability is decided exactly when it is rational,
+that is when the powers it divides are proportional; any other library
+number is read at the first rung as the exact midpoint of its certified
+interval, or exactly 0 when the interval contains 0, and the residual of
+S(E) = <S> + H is certified.  For exact.decimal_of the same intervals
 are evaluated at any rung, and the Landauer margin is a difference of
-entropies.  The Gibbs gap is an mpmath number at the first rung.  The
-functions that evaluate intervals load mpmath, so classification, the
-irreversibility bracket and demon planning never do.  The Landauer
-verdict is an exact comparison.
+entropies.  The Gibbs gap is the midpoint of its interval at the first
+rung.  The Landauer verdict is an exact comparison.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
@@ -40,12 +40,12 @@ from .exact import (
     FIRST_BITS,
     Comparison,
     ExactEntropy,
-    _context,
+    Interval,
     compare_entropy,
     decimal_of,
     difference,
-    entropy_mpf,
     point,
+    power_ratio,
 )
 from .oracle import InformationState, ModelOracle
 from .states import (
@@ -87,15 +87,7 @@ def entropy_uniform(e: Eidostate, oracle: ModelOracle) -> ExactEntropy:
 # -- probabilities ----------------------------------------------------
 
 
-def _to_mpf(value):
-    import mpmath
-
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
-
-
-def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle):
+def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle) -> Fraction:
     """P(a | e) = 2^(S(a) - S(e)) for members, 0 otherwise."""
     return conditional_probability((a,), e.members, e, oracle)
 
@@ -105,24 +97,25 @@ def probability_enclosure(
     a: Iterable[StateExpr],
     e: Eidostate,
     oracle: ModelOracle,
-) -> Callable[[int], object]:
-    """P(b | a within e) as a function from a working precision in bits to
-    an interval containing it.  Weights are summed in e's member order,
-    so results do not depend on set iteration order."""
+):
+    """P(b | a within e): the Fraction itself when it is rational, else a
+    function from a working precision in bits to an Interval containing
+    it.  Both weights are exact sums, so neither depends on set order."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     set_a, set_b = set(a), set(b)
     given = [m for m in e.members if m in set_a]
     if not given:
         raise ValueError("conditioning set does not meet the eidostate")
-
-    def enclosure(bits: int):
-        zero = _context(bits).mpf(0)
-        weights = [oracle.state_entropy(m).power_interval(bits) for m in given]
-        numer = sum((w for m, w in zip(given, weights) if m in set_b), zero)
-        return numer / sum(weights, zero)
-
-    return enclosure
+    hits = [m for m in given if m in set_b]
+    if not hits:
+        return Fraction(0)
+    numer = ExactEntropy.log2_sum_of_powers(oracle.state_entropy(m) for m in hits)
+    denom = ExactEntropy.log2_sum_of_powers(oracle.state_entropy(m) for m in given)
+    ratio = power_ratio(numer, denom)
+    if ratio is not None:
+        return ratio
+    return lambda bits: numer.power_interval(bits) / denom.power_interval(bits)
 
 
 def conditional_probability(
@@ -130,9 +123,10 @@ def conditional_probability(
     a: Iterable[StateExpr],
     e: Eidostate,
     oracle: ModelOracle,
-):
+) -> Fraction:
     """P(b | a within e), with empty sets carrying probability zero."""
-    return point(probability_enclosure(b, a, e, oracle)(FIRST_BITS), FIRST_BITS)
+    p = probability_enclosure(b, a, e, oracle)
+    return point(p(FIRST_BITS) if callable(p) else p)
 
 
 @dataclass(frozen=True)
@@ -140,23 +134,25 @@ class ProbabilityReport:
     """Entropic probabilities of a uniform eidostate and the split of its
     entropy into mean member entropy plus Shannon information.
 
-    Each number is read from its certified interval at the first rung by
+    Each number is a Fraction: a rational probability itself, anything
+    else read from its certified interval at the first rung by
     ``exact.point``.  ``residual_interval`` encloses S(E) - (<S> + H).
     ``enclosure`` gives the intervals at any rung for ``exact.decimal_of``:
-    the probabilities in member order, <S>, H, S(E) and the residual,
-    exactly 0 when its interval contains 0, as the identity is exact.
+    the probabilities in member order (the rational ones exact), <S>, H,
+    S(E) and the residual, exactly 0 when its interval contains 0, as
+    the identity is exact.
     """
 
-    support: Dict[StateExpr, object]
-    entropy_total: object
-    mean_state_entropy: object
-    shannon_term: object
-    residual_interval: object
+    support: Dict[StateExpr, Fraction]
+    entropy_total: Fraction
+    mean_state_entropy: Fraction
+    shannon_term: Fraction
+    residual_interval: Interval
     enclosure: Callable[[int], tuple] = field(repr=False, compare=False)
 
-    def residual(self):
+    def residual(self) -> Fraction:
         """|S(E) - (<S> + H)|: exactly 0 when its interval contains 0."""
-        return abs(point(self.residual_interval, FIRST_BITS))
+        return abs(point(self.residual_interval))
 
 
 def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
@@ -165,21 +161,22 @@ def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityRepor
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     members = e.members
+    entropies = [oracle.state_entropy(m) for m in members]
+    entropy = ExactEntropy.log2_sum_of_powers(entropies)
+    rational = [power_ratio(s, entropy) for s in entropies]
 
     @cache
     def intervals(bits: int) -> tuple:
-        ctx = _context(bits)
-        weights = [oracle.state_entropy(m).power_interval(bits) for m in members]
-        total_weight = sum(weights, ctx.mpf(0))
-        log2 = ctx.log(2)
-        probabilities = [w / total_weight for w in weights]
-        mean = shannon = ctx.mpf(0)
-        for w, p in zip(weights, probabilities):
-            mean += p * (ctx.log(w) / log2)
-            shannon -= p * (ctx.log(p) / log2)
+        total_weight = entropy.power_interval(bits)
+        probabilities = [s.power_interval(bits) / total_weight for s in entropies]
+        mean = shannon = 0
+        for s, p in zip(entropies, probabilities):
+            mean += p * s.interval(bits)
+            shannon -= p * p.log2()
         if len(members) == 1:
-            shannon = ctx.mpf(0)  # p = 1 exactly, which w / w does not certify
-        total = ctx.log(total_weight) / log2
+            shannon = 0  # p = 1 exactly, which w / w does not certify
+        total = total_weight.log2()
+        probabilities = [p if x is None else x for x, p in zip(rational, probabilities)]
         return (*probabilities, mean, shannon, total, total - (mean + shannon))
 
     def enclosure(bits: int) -> tuple:
@@ -188,10 +185,10 @@ def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityRepor
 
     *probabilities, mean, shannon, total, residual = intervals(FIRST_BITS)
     return ProbabilityReport(
-        support={m: point(p, FIRST_BITS) for m, p in zip(members, probabilities)},
-        entropy_total=point(total, FIRST_BITS),
-        mean_state_entropy=point(mean, FIRST_BITS),
-        shannon_term=point(shannon, FIRST_BITS),
+        support={m: point(p) for m, p in zip(members, probabilities)},
+        entropy_total=point(total),
+        mean_state_entropy=point(mean),
+        shannon_term=point(shannon),
         residual_interval=residual,
         enclosure=enclosure,
     )
@@ -201,33 +198,28 @@ def gibbs_gap(
     e: Eidostate,
     distribution: Mapping[StateExpr, object],
     oracle: ModelOracle,
-):
-    """S(E) minus the decomposition value under an arbitrary distribution.
+) -> Fraction:
+    """S(E) minus the decomposition value under an arbitrary distribution,
+    read at the first rung from its certified interval.
 
-    Nonnegative always; zero exactly at the entropic distribution.
+    Nonnegative always; zero exactly at the entropic distribution.  The
+    weights are taken as exact rationals (ints, Fractions or floats).
     """
-    import mpmath
-
     entropy = entropy_uniform(e, oracle)
     members = set(e.members)
     if not set(distribution) <= members:
         raise ValueError("distribution assigns weight outside the eidostate")
-    with mpmath.workprec(FIRST_BITS):
-        probs = {m: _to_mpf(distribution.get(m, 0)) for m in e}
-        total = mpmath.mpf(0)
-        for p in probs.values():
-            if p < -mpmath.mpf(10) ** -12:
-                raise ValueError("distribution has a negative weight")
-            total += p
-        if abs(total - 1) > mpmath.mpf(10) ** -9:
-            raise ValueError("distribution does not sum to one")
-        mean = mpmath.mpf(0)
-        shannon = mpmath.mpf(0)
-        for m, p in probs.items():
-            if p > 0:
-                mean += p * entropy_mpf(oracle.state_entropy(m), FIRST_BITS)
-                shannon -= p * mpmath.log(p, 2)
-        return entropy_mpf(entropy, FIRST_BITS) - (mean + shannon)
+    probs = {m: Fraction(distribution.get(m, 0)) for m in e}
+    if any(p < Fraction(-1, 10**12) for p in probs.values()):
+        raise ValueError("distribution has a negative weight")
+    if abs(sum(probs.values()) - 1) > Fraction(1, 10**9):
+        raise ValueError("distribution does not sum to one")
+    gap = entropy.interval(FIRST_BITS)
+    for m, p in probs.items():
+        if p > 0:
+            mean = p * oracle.state_entropy(m).interval(FIRST_BITS)
+            gap -= mean - p * Interval.of(p, FIRST_BITS).log2()
+    return point(gap)
 
 
 # -- irreversibility --------------------------------------------------

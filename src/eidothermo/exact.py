@@ -27,22 +27,30 @@ Every numeric reading of a value goes through one enclosure: integers
 lo <= 2^bits * sum c_f * 2^f <= hi for signed coefficients c_f, built
 from one memoized integer enclosure of 2^f per residue.  A comparison
 subtracts the coefficients residue by residue, so shared terms cancel
-exactly, and a difference whose coefficients all have one sign, such as
+exactly.  A difference whose coefficients all have one sign, such as
 one left only at residue 0, is decided outright, as every 2^f is
-positive.  Otherwise the sign is read from the enclosure at escalating
-precision: 128 bits doubling up to a cap, default 4096, overridable via
-the ``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at
-the cap raises ``PrecisionExhausted`` rather than guessing.  ``floor``
-is one such comparison against an integer; ``power_interval`` is the
-enclosure of 2^value as an interval and ``interval`` its logarithm.
+positive, and so is one whose sign the bounds 1 <= 2^f <= 1 + f fix.
+Otherwise the sign is read from the enclosure at escalating precision:
+128 bits doubling up to a cap, default 4096, overridable via the
+``EIDOTHERMO_MAX_BITS`` environment variable.  An undecided sign at the
+cap raises ``PrecisionExhausted`` rather than guessing.  ``floor`` is
+one such comparison against an integer; ``power_interval`` is the
+enclosure of 2^value as an ``Interval`` and ``interval`` its logarithm.
 ``decimal_of``, the one printer of decimals, rounds a rational exactly
 and any other number once its enclosure, evaluated up the same ladder,
-fixes every printed digit.  ``point`` reads a library number from a
-certified interval: exactly 0 when it contains 0, else its midpoint.
+fixes every printed digit; ``float`` climbs the ladder the same way to
+the correctly rounded double.  ``point`` reads a library number from a
+certified interval: exactly 0 when it contains 0, else its exact
+midpoint, a ``Fraction``.  ``power_ratio`` decides when a ratio of
+powers is rational and gives it exactly.
 
-mpmath bounds each 2^f and evaluates intervals.  The functions that
-call it import it themselves, so values whose comparisons and decimals
-are decided without the ladder never load it.
+All of it is arithmetic on Python integers (Brent and Zimmermann,
+*Modern Computer Arithmetic*, ch. 4).  2^(r/d) is bounded by the
+exponential series of (r/d) ln 2 after k halvings, squared k times, and
+log2 by a table of ln(1 + i/256) and the series of atanh; each series
+is summed with floor divisions, which bound it from below, and a count
+of the truncations bounds it from above.  An ``Interval`` is a pair of
+integers over one power of two, rounded outward to its precision.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator
 
 #: Environment variable naming the interval-precision cap in bits.
@@ -339,60 +347,262 @@ class ExactEntropy:
             return k - 1
         return k
 
-    def power_interval(self, bits: int):
+    def power_interval(self, bits: int) -> "Interval":
         """Enclosing interval of 2^value at the given working precision:
         the integer enclosure scaled by 2^(s - bits)."""
         d, s, terms = _form(self._v)
-        ctx = _context(bits)
-        return ctx.mpf(_enclosure(bits, d, terms)) * ctx.mpf(2) ** (s - bits)
+        lo, hi = _enclosure(bits, d, terms)
+        return Interval(lo, hi, s - bits, bits)
 
-    def interval(self, bits: int):
+    def interval(self, bits: int) -> "Interval":
         """Enclosing interval of the value at the given working precision:
-        the log of the enclosure of 2^value."""
-        ctx = _context(bits)
-        return ctx.log(self.power_interval(bits)) / ctx.log(2)
+        the rational itself enclosed, or the log of the enclosure of
+        2^value."""
+        v = self._v
+        if type(v) is Fraction:
+            return Interval.of(v, bits)
+        return self.power_interval(bits).log2()
 
     def __float__(self) -> float:
-        return float(entropy_mpf(self, 64))
+        """The correctly rounded double."""
+        v = self._v
+        if type(v) is Fraction:
+            return float(v)
+        return _climb(self.interval, _float_of, "round to a float")
 
 
 #: Writes the ``_v`` slot past the immutability guard of ``__setattr__``.
 _set_value = ExactEntropy._v.__set__
 
 
-#: Interval contexts are immutable after creation here; reusing them
-#: avoids per-comparison construction cost.
-_CONTEXTS: dict = {}
+# -- the integer kernel ----------------------------------------------------
+#
+# A fixed-point number is an integer X standing for X / 2^p.  Each series
+# below is summed with floor divisions, so its computed sum is a lower
+# bound, and a count of the truncations bounds it from above.
+
+#: Bits the series carry beyond the precision they are asked for.
+_GUARD = 12
+#: ln(t) is read from a table of ln(1 + i/2^_TABLE_BITS) and a short series.
+_TABLE_BITS = 8
 
 
-def _context(bits: int):
-    ctx = _CONTEXTS.get(bits)
-    if ctx is None:
-        from mpmath.ctx_iv import MPIntervalContext
+def _atanh(num: int, den: int, p: int) -> tuple:
+    """Integers lo <= 2^p * atanh(num/den) <= hi for 0 <= num/den <= 1/3.
 
-        ctx = MPIntervalContext()
-        ctx.prec = bits
-        _CONTEXTS[bits] = ctx
-    return ctx
+    The series of z^(2k+1)/(2k+1) runs at p + _GUARD bits.  Each power
+    of z is the floor of the previous one times z^2, so it trails the
+    true power by less than 9/8 units and each term by less than 17/8;
+    once a power reaches 0, the rest of the series is below 2 units.
+    """
+    if not num:
+        return 0, 0
+    q = p + _GUARD
+    power = (num << q) // den
+    n2, d2 = num * num, den * den
+    total = terms = 0
+    while power:
+        terms += 1
+        total += power // (2 * terms - 1)
+        power = power * n2 // d2
+    return total >> _GUARD, -(-(total + 3 * terms + 2) >> _GUARD)
 
 
-def _scaled(endpoint, bits: int, ceiling: bool) -> int:
-    """A positive mpf endpoint times 2^bits, rounded down or up to an integer."""
-    _, man, exp, _ = endpoint
-    man = int(man)
-    shift = exp + bits
-    if shift >= 0:
-        return man << shift
-    return -(-man >> -shift) if ceiling else man >> -shift
+@lru_cache(maxsize=64)
+def _ln2(p: int) -> tuple:
+    """Integers lo <= 2^p * ln 2 <= hi: ln 2 = 2 atanh(1/3)."""
+    lo, hi = _atanh(1, 3, p)
+    return 2 * lo, 2 * hi
+
+
+@lru_cache(maxsize=4096)
+def _ln_table(i: int, p: int) -> tuple:
+    """Integers lo <= 2^p * ln(1 + i/2^_TABLE_BITS) <= hi."""
+    lo, hi = _atanh(i, (2 << _TABLE_BITS) + i, p)
+    return 2 * lo, 2 * hi
+
+
+def _log2_bounds(m: int, e: int, p: int) -> tuple:
+    """Integers lo <= 2^p * log2(m * 2^e) <= hi for a positive integer m.
+
+    With m = 2^n * t, 1 <= t < 2, and i/2^_TABLE_BITS the first bits of
+    t - 1: ln t = ln(1 + i/2^_TABLE_BITS) + 2 atanh(z) for the exact
+    z = (a - b)/(a + b) below 2^-(_TABLE_BITS + 1), where a/b is t over
+    1 + i/2^_TABLE_BITS; log2 t is ln t over ln 2.
+    """
+    n = m.bit_length() - 1
+    a = m << _TABLE_BITS
+    i = (a >> n) - (1 << _TABLE_BITS)
+    b = ((1 << _TABLE_BITS) + i) << n
+    q = p + _GUARD
+    table_lo, table_hi = _ln_table(i, q)
+    z_lo, z_hi = _atanh(a - b, a + b, q)
+    ln2_lo, ln2_hi = _ln2(q)
+    whole = (n + e) << p
+    return (
+        whole + ((table_lo + 2 * z_lo) << p) // ln2_hi,
+        whole - (-((table_hi + 2 * z_hi) << p) // ln2_lo),
+    )
+
+
+def _exp(x: int, p: int, k: int) -> tuple:
+    """Integers lo <= 2^p * exp(x / 2^p) <= hi for 0 <= x < 2^p and k >= 1.
+
+    The Taylor series runs at x / 2^(p + k), below 1/2, so its terms
+    fall at least twofold: each computed term trails by less than 2
+    units and the cut-off tail is below 4.  The sum is then squared k
+    times, rounding down for lo and up for hi.
+    """
+    s = p + k
+    total = term = 1 << p
+    n = 0
+    while term:
+        n += 1
+        term = (term * x >> s) // n
+        total += term
+    lo, hi = total, total + 2 * n + 4
+    for _ in range(k):
+        lo = lo * lo >> p
+        hi = -(-hi * hi >> p)
+    return lo, hi
 
 
 @lru_cache(maxsize=4096)
 def _pow2_bounds(bits: int, r: int, d: int) -> tuple:
     """Integers lo <= 2^(bits + r/d) <= hi for a residue 0 < r/d < 1 in
-    lowest terms, a few units apart."""
-    ctx = _context(bits)
-    a, b = (ctx.mpf(2) ** (ctx.mpf(r) / ctx.mpf(d)))._mpi_
-    return _scaled(a, bits, False), _scaled(b, bits, True)
+    lowest terms, a few units apart: exp of (r/d) ln 2, whose k halvings
+    and squarings cost about k + _GUARD bits of guard."""
+    k = isqrt(bits) // 3 + 1
+    p = bits + k + _GUARD
+    ln2_lo, ln2_hi = _ln2(p)
+    x_lo, x_hi = r * ln2_lo // d, -(-r * ln2_hi // d)
+    lo, hi = _exp(x_lo, p, k)
+    # e^t <= 1 + 2t for 0 <= t <= 1 bounds exp(x_hi) by exp(x_lo).
+    hi += -(-hi * 2 * (x_hi - x_lo) >> p)
+    g = p - bits
+    return lo >> g, -(-hi >> g)
+
+
+def _fraction(n: int, e: int) -> Fraction:
+    """n * 2^e as a Fraction."""
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+class Interval:
+    """The closed interval [lo * 2^exp, hi * 2^exp] at a working precision
+    of prec bits.
+
+    Arithmetic rounds each result outward to prec significant bits, so
+    it encloses every value the operands can take; a rational operand
+    is enclosed first, and the result takes the larger precision.
+    """
+
+    __slots__ = ("lo", "hi", "exp", "prec")
+
+    def __init__(self, lo: int, hi: int, exp: int, prec: int):
+        shift = max(abs(lo), abs(hi)).bit_length() - prec
+        if shift > 0:
+            lo >>= shift
+            hi = -(-hi >> shift)
+            exp += shift
+        self.lo, self.hi, self.exp, self.prec = lo, hi, exp, prec
+
+    @classmethod
+    def of(cls, x, prec: int) -> "Interval":
+        """The enclosure of a rational: exact when it is dyadic and fits."""
+        n, d = x.numerator, x.denominator
+        if not d & (d - 1):
+            return cls(n, n, 1 - d.bit_length(), prec)
+        s = max(0, prec + 2 + d.bit_length() - n.bit_length())
+        return cls((n << s) // d, -((-n << s) // d), -s, prec)
+
+    @property
+    def lower(self) -> Fraction:
+        return _fraction(self.lo, self.exp)
+
+    @property
+    def upper(self) -> Fraction:
+        return _fraction(self.hi, self.exp)
+
+    def __contains__(self, x) -> bool:
+        return self.lower <= x <= self.upper
+
+    def __repr__(self) -> str:
+        return f"Interval([{self.lower}, {self.upper}])"
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo, self.exp, self.prec)
+
+    def __add__(self, other) -> "Interval":
+        if type(other) is not Interval:
+            if not other:
+                return self
+            other = Interval.of(other, self.prec)
+        prec = max(self.prec, other.prec)
+        ea, eb = self.exp, other.exp
+        # Align at the lower exponent, but no lower than 2 bits past the
+        # precision of the larger operand: a smaller one is rounded out.
+        top = max(
+            max(abs(self.lo), abs(self.hi)).bit_length() + ea,
+            max(abs(other.lo), abs(other.hi)).bit_length() + eb,
+        )
+        e = max(min(ea, eb), top - prec - 2)
+        lo = _shifted(self.lo, ea - e, False) + _shifted(other.lo, eb - e, False)
+        hi = _shifted(self.hi, ea - e, True) + _shifted(other.hi, eb - e, True)
+        return Interval(lo, hi, e, prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Interval":
+        return self + -other
+
+    def __rsub__(self, other) -> "Interval":
+        return -self + other
+
+    def __mul__(self, other) -> "Interval":
+        if type(other) is not Interval:
+            other = Interval.of(other, self.prec)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0 and c >= 0:
+            lo, hi = a * c, b * d
+        else:
+            ends = (a * c, a * d, b * c, b * d)
+            lo, hi = min(ends), max(ends)
+        return Interval(lo, hi, self.exp + other.exp, max(self.prec, other.prec))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "Interval") -> "Interval":
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c <= 0 <= d:
+            raise ZeroDivisionError("division by an interval that contains 0")
+        if d < 0:
+            a, b, c, d = -b, -a, -d, -c
+        prec = max(self.prec, other.prec)
+        s = max(0, prec + 2 + d.bit_length() - max(-a, b).bit_length())
+        lo = (a << s) // (d if a >= 0 else c)
+        hi = -((-b << s) // (c if b >= 0 else d))
+        return Interval(lo, hi, self.exp - other.exp - s, prec)
+
+    def log2(self) -> "Interval":
+        """The enclosure of log2 over a positive interval: the kernel's
+        bounds at the lower end, plus 3/2 of the relative width, which
+        bounds log2(hi / lo) from above."""
+        lo, hi = self.lo, self.hi
+        if lo <= 0:
+            raise ValueError("log2 of an interval that is not positive")
+        p = self.prec + _GUARD
+        low, high = _log2_bounds(lo, self.exp, p)
+        if hi != lo:
+            high += -(-(3 * (hi - lo) << p) // (2 * lo))
+        return Interval(low, high, -p, self.prec)
+
+
+def _shifted(n: int, k: int, ceiling: bool) -> int:
+    """n * 2^k, rounded down or up to an integer."""
+    if k >= 0:
+        return n << k
+    return -(-n >> -k) if ceiling else n >> -k
 
 
 def _enclosure(bits: int, d: int, terms) -> tuple:
@@ -429,8 +639,9 @@ def compare_entropy(x: ExactEntropy, y: ExactEntropy) -> Comparison:
     Rational values compare as fractions.  Otherwise the difference of
     the two powers is taken residue by residue: a difference whose
     coefficients all have one sign (in particular one left at a single
-    residue, such as residue 0) is decided exactly, and any other is
-    bounded at escalating precision until its sign is certain, or
+    residue, such as residue 0) is decided exactly, and so is one whose
+    sign the bounds 1 <= 2^f <= 1 + f fix; any other is bounded at
+    escalating precision until its sign is certain, or
     PrecisionExhausted is raised at the cap.
     """
     a, b = x._v, y._v
@@ -458,6 +669,21 @@ def compare_entropy(x: ExactEntropy, y: ExactEntropy) -> Comparison:
         return Comparison.GREATER
     if all(c <= 0 for c in diff.values()):
         return Comparison.LESS
+    # Mixed signs: 1 <= 2^f <= 1 + f, with equality only at f = 0, and
+    # some residue is not 0, so d times the difference lies strictly
+    # between these two integers.
+    low = high = 0
+    for r, c in diff.items():
+        if c > 0:
+            low += c * d
+            high += c * (d + r)
+        else:
+            low += c * (d + r)
+            high += c * d
+    if high <= 0:
+        return Comparison.LESS
+    if low >= 0:
+        return Comparison.GREATER
     terms = [(r, c) for r, c in diff.items() if c]
     cap = max_precision_bits()
     for bits in _precision_ladder(cap):
@@ -490,19 +716,34 @@ def _rounded(n: int, d: int, digits: int) -> str:
 def _decided(box, digits: int):
     """The rounding of the number an enclosure stands for: a rational's
     outright, an interval's when both ends round alike, else None."""
-    if isinstance(box, (int, Fraction)):
+    if type(box) is not Interval:
         return _rounded(box.numerator, box.denominator, digits)
-    from mpmath.libmp import to_rational
-
-    lo, hi = (_rounded(*to_rational(end), digits) for end in box._mpi_)
+    lo, hi = (_rounded(x.numerator, x.denominator, digits) for x in (box.lower, box.upper))
     return lo if lo == hi else None
+
+
+def _float_of(box: Interval):
+    """The double both ends of an interval round to, else None."""
+    lo, hi = float(box.lower), float(box.upper)
+    return lo if lo == hi else None
+
+
+def _climb(enclosure, read, what: str):
+    """The first reading read(enclosure(bits)) that is not None, up the
+    precision ladder, or PrecisionExhausted at the cap."""
+    cap = max_precision_bits()
+    for bits in _precision_ladder(cap):
+        result = read(enclosure(bits))
+        if result is not None:
+            return result
+    raise PrecisionExhausted(f"cannot {what} within {cap} bits")
 
 
 def decimal_of(value, digits: int = 30):
     """A rational, an ExactEntropy or an enclosure rounded to the given
     significant digits, in mpmath's nstr format with trailing zeros kept.
 
-    An enclosure maps a working precision in bits to an interval, a
+    An enclosure maps a working precision in bits to an Interval, a
     rational or a tuple of them (then a tuple of strings is returned).
     Rationals round exactly; intervals are evaluated up the ladder until
     both ends of each round alike (Ziv's test), so every printed digit
@@ -512,14 +753,14 @@ def decimal_of(value, digits: int = 30):
         value = value._v if value.is_rational else value.interval
     if not callable(value):
         return _decided(value, digits)
-    cap = max_precision_bits()
-    for bits in _precision_ladder(cap):
-        boxes = value(bits)
-        many = type(boxes) is tuple
-        texts = [_decided(box, digits) for box in (boxes if many else (boxes,))]
-        if None not in texts:
-            return tuple(texts) if many else texts[0]
-    raise PrecisionExhausted(f"cannot round to {digits} digits within {cap} bits")
+
+    def read(boxes):
+        if type(boxes) is not tuple:
+            return _decided(boxes, digits)
+        texts = tuple(_decided(box, digits) for box in boxes)
+        return None if None in texts else texts
+
+    return _climb(value, read, f"round to {digits} digits")
 
 
 def difference(x: ExactEntropy, y: ExactEntropy):
@@ -531,17 +772,36 @@ def difference(x: ExactEntropy, y: ExactEntropy):
     return lambda bits: x.interval(bits) - y.interval(bits)
 
 
-def point(box, bits: int):
-    """The number a certified interval stands for: exactly 0 when the
-    interval contains 0, otherwise its midpoint at the given precision."""
-    import mpmath
+def power_ratio(x: ExactEntropy, y: ExactEntropy):
+    """2^x / 2^y as a Fraction when it is rational, else None.
 
-    if 0 in box:
-        return mpmath.mpf(0)
-    with mpmath.workprec(bits):
-        return (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
+    It is rational exactly when the two coefficient forms are
+    proportional, the same residues with one ratio of coefficients, as
+    powers of two with distinct exponents in [0, 1) are linearly
+    independent over the rationals.
+    """
+    dx, sx, tx = _form(x._v)
+    dy, sy, ty = _form(y._v)
+    if dx != dy or len(tx) != len(ty):
+        return None
+    m0, n0 = tx[0][1], ty[0][1]
+    for (rx, m), (ry, n) in zip(tx, ty):
+        if rx != ry or m * n0 != n * m0:
+            return None
+    return Fraction(m0, n0) * _fraction(1, sx - sy)
 
 
-def entropy_mpf(value: ExactEntropy, bits: int):
-    """The value as an mpmath float computed at the given precision."""
-    return point(value.interval(bits), bits)
+def point(box) -> Fraction:
+    """The number a certified enclosure stands for: a rational itself, 0
+    when the interval contains 0, otherwise its exact midpoint."""
+    if type(box) is not Interval:
+        return Fraction(box)
+    if box.lo <= 0 <= box.hi:
+        return Fraction(0)
+    return _fraction(box.lo + box.hi, box.exp - 1)
+
+
+def entropy_mpf(value: ExactEntropy, bits: int) -> Fraction:
+    """The value read at the given precision: the exact midpoint of its
+    enclosing interval."""
+    return point(value.interval(bits))

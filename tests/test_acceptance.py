@@ -212,16 +212,15 @@ def test_criterion_10_entropic_distribution_is_unique_minimum():
         e = model.random_uniform_eidostate(rng, max_size=6)
         if len(e) < 2:
             continue
-        with mpmath.workprec(128):
-            entropic = {m: entropic_probability(m, e, model) for m in e}
-            assert float(gibbs_gap(e, entropic, model)) <= 1e-12
-            members = list(e)
-            source = max(members, key=lambda m: entropic[m])
-            target = rng.choice([m for m in members if m != source])
-            delta = max(mpmath.mpf("1e-3"), entropic[source] / 2)
-            perturbed = dict(entropic)
-            perturbed[source] -= delta
-            perturbed[target] += delta
+        entropic = {m: entropic_probability(m, e, model) for m in e}
+        assert float(gibbs_gap(e, entropic, model)) <= 1e-12
+        members = list(e)
+        source = max(members, key=lambda m: entropic[m])
+        target = rng.choice([m for m in members if m != source])
+        delta = max(Fraction(1, 1000), entropic[source] / 2)
+        perturbed = dict(entropic)
+        perturbed[source] -= delta
+        perturbed[target] += delta
         gap = gibbs_gap(e, perturbed, model)
         assert float(gap) > 0, (e, float(delta))
         done += 1

@@ -399,16 +399,16 @@ def test_cli_import_loads_no_numpy():
     assert proc.stdout == "False\n"
 
 
-def test_exact_commands_load_no_mpmath_harness_or_quantum(szilard):
-    # classify, irrev and demon decide szilard.txt with rational
-    # arithmetic alone, so a cold command should import none of these.
+def test_exact_commands_load_no_harness_or_quantum(szilard):
+    # classify, irrev and demon on szilard.txt need neither the suites nor
+    # the quantum model, so a cold command should import neither.
     commands = [["classify", "vr", "Final"], ["irrev", "v0", "v"], ["demon", "r", "Ib"]]
     code = (
         "import sys\n"
         "from eidothermo import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main([*argv, '--scenario', sys.argv[1]]) == 0\n"
-        "print([m for m in ('mpmath', 'eidothermo.harness', 'eidothermo.quantum')"
+        "print([m for m in ('eidothermo.harness', 'eidothermo.quantum')"
         " if m in sys.modules])\n"
     )
     proc = subprocess.run(
@@ -474,12 +474,12 @@ def test_landauer_margin_below_128_bits(capsys):
 
 
 def _forbid_intervals(monkeypatch):
-    """Make every interval evaluation, cached 2^f bounds included, fail."""
-    def no_intervals(bits):
+    """Make every bound of 2^f and of log2, and so every interval, fail."""
+    def no_intervals(*args):
         raise AssertionError("an interval was evaluated")
 
-    exact._pow2_bounds.cache_clear()
-    monkeypatch.setattr(exact, "_context", no_intervals)
+    monkeypatch.setattr(exact, "_pow2_bounds", no_intervals)
+    monkeypatch.setattr(exact, "_log2_bounds", no_intervals)
 
 
 def test_landauer_zero_margin_is_an_exact_equality(capsys, monkeypatch):
@@ -506,6 +506,27 @@ def test_rational_entropy_prints_without_intervals(capsys, monkeypatch, tmp_path
     code, out, _ = run_cli(capsys, "entropy", "--scenario", str(path), "T")
     assert code == 0
     assert out == "exponents: {1/3}\ndecimal: 0.333333333333333333333333333333\n"
+
+
+TIES = str(SCENARIOS / "ties.txt")
+
+
+def test_rational_probability_on_a_rounding_tie(capsys, monkeypatch):
+    # P(a | E) = 2^-44 exactly, whose 31st digit is a 5 that no interval
+    # decides; the powers are proportional, so it is exact, and no
+    # interval is evaluated.
+    _forbid_intervals(monkeypatch)
+    code, out, _ = run_cli(capsys, "prob", "--scenario", TIES, "a", "E")
+    assert code == 0
+    assert out == "P(a | E) = 5.68434188608080148696899414063e-14\n"
+
+
+def test_prob_report_prints_rational_probabilities_on_ties(capsys):
+    code, out, _ = run_cli(capsys, "prob-report", "--scenario", TIES, "E")
+    assert code == 0
+    assert "P(a | E) = 5.68434188608080148696899414063e-14\n" in out
+    assert "P(m1 | E) = 1.13686837721616029739379882813e-13\n" in out
+    assert out.endswith("total entropy: 44.3333333333333333333333333333\nresidual: 0.0\n")
 
 
 #: Bits of the plain mpmath numbers the printed digits are checked against.

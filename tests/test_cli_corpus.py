@@ -1,5 +1,6 @@
 """A committed corpus of CLI outputs: stdout, stderr and exit code of every
-command over three scenarios, in both output formats.
+command over three scenarios, in both output formats.  Every run also
+prints the same bytes in an interpreter that cannot import mpmath.
 
 The golden file pins the bytes of entropy decimals, probabilities, every
 ``prob-report`` field (certified residuals that print ``0.0`` among
@@ -13,6 +14,8 @@ bytes:
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -137,6 +140,34 @@ def test_corpus_pins_certified_zero_residuals(golden):
 @pytest.mark.parametrize("key,argv", list(_runs()), ids=[key for key, _ in _runs()])
 def test_cli_bytes_match_corpus(golden, key, argv):
     assert _run(argv) == golden[key]
+
+
+#: Runs the given (key, argv) runs in one interpreter in which importing
+#: mpmath fails, and prints their outputs as JSON.
+WITHOUT_MPMATH = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None
+from eidothermo import cli
+outputs = {}
+for key, argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    outputs[key] = {"exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+print(json.dumps(outputs))
+"""
+
+
+def test_every_command_runs_without_mpmath(golden):
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_MPMATH, json.dumps(list(_runs()))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)
+    assert outputs.keys() == golden.keys()
+    for key, run in outputs.items():
+        assert run == golden[key], key
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eidothermo.engine import (
@@ -28,9 +28,10 @@ from eidothermo.engine import (
     irreversibility_estimate,
     landauer_check,
     min_information_to_transform,
+    probability_enclosure,
     shannon_decomposition,
 )
-from eidothermo.exact import FIRST_BITS, ExactEntropy, entropy_mpf
+from eidothermo.exact import FIRST_BITS, ExactEntropy, decimal_of, entropy_mpf
 from eidothermo.macro import MacroModel
 from eidothermo.oracle import ModelOracle
 from eidothermo.quantum import QuantumModel
@@ -103,11 +104,9 @@ def test_entropy_uniform_rejects_non_uniform(macro):
 def test_entropic_probability_values(macro):
     bit = macro.make_bit_state()
     assert entropic_probability(S1, bit, macro) == 0
-    assert entropic_probability(R, bit, macro) == mpmath.mpf(1) / 2
-    e = Eidostate([S0, S1])
-    p = entropic_probability(S1, e, macro)
-    with mpmath.workprec(130):
-        assert abs(p - mpmath.mpf(2) / 3) < 1e-30
+    assert entropic_probability(R, bit, macro) == Fraction(1, 2)
+    # 2^1 / (2^0 + 2^1): the powers are proportional, so it is exact.
+    assert entropic_probability(S1, Eidostate([S0, S1]), macro) == Fraction(2, 3)
 
 
 def test_conditional_probability_rules(macro):
@@ -131,8 +130,8 @@ def test_conditional_probability_is_independent_of_hash_seed():
         "lams = (F(1, 3), F(1, 7), F(2, 5), F(5, 9), F(1, 11), F(7, 13))\n"
         "atoms = [m.registry.ensure_s_atom(x) for x in lams]\n"
         "e = Eidostate(atoms)\n"
-        "print(conditional_probability(atoms[:2], atoms, e, m)._mpf_)\n"
-        "print(conditional_probability(atoms[1:4], atoms[:5], e, m)._mpf_)\n"
+        "print(conditional_probability(atoms[:2], atoms, e, m))\n"
+        "print(conditional_probability(atoms[1:4], atoms[:5], e, m))\n"
     )
     outputs = set()
     for seed in (1, 2, 3, 4):
@@ -152,8 +151,7 @@ def test_conditional_additivity(macro):
     p_a = conditional_probability([S0], everyone, e, macro)
     p_b = conditional_probability([S1], everyone, e, macro)
     p_ab = conditional_probability([S0, S1], everyone, e, macro)
-    with mpmath.workprec(130):
-        assert abs(p_ab - (p_a + p_b)) < 1e-30
+    assert abs(p_ab - (p_a + p_b)) < Fraction(1, 10**30)
 
 
 def test_probability_independence(macro):
@@ -164,11 +162,8 @@ def test_probability_independence(macro):
         x = rng.choice(e.members)
         y = rng.choice(f.members)
         joint = entropic_probability(Pair(x, y), combine(e, f), macro)
-        with mpmath.workprec(130):
-            split = entropic_probability(x, e, macro) * entropic_probability(
-                y, f, macro
-            )
-            assert abs(joint - split) < 1e-30
+        split = entropic_probability(x, e, macro) * entropic_probability(y, f, macro)
+        assert abs(joint - split) < Fraction(1, 10**30)
 
 
 def test_shannon_decomposition_pure_information(macro):
@@ -182,15 +177,14 @@ def test_shannon_decomposition_pure_information(macro):
 def test_shannon_decomposition_singleton(macro):
     report = shannon_decomposition(singleton(SH), macro)
     assert abs(report.shannon_term) < 1e-30
-    assert abs(report.mean_state_entropy - mpmath.mpf(1) / 2) < 1e-30
+    assert abs(report.mean_state_entropy - Fraction(1, 2)) < 1e-30
 
 
 def test_shannon_decomposition_mixed(macro):
     e = Eidostate([S0, S1])
     report = shannon_decomposition(e, macro)
-    with mpmath.workprec(130):
-        assert abs(report.mean_state_entropy - mpmath.mpf(2) / 3) < 1e-30
-    assert report.residual() < mpmath.mpf(10) ** -36
+    assert abs(report.mean_state_entropy - Fraction(2, 3)) < 1e-30
+    assert report.residual() < Fraction(1, 10**36)
     total = float(report.entropy_total)
     assert total == pytest.approx(1.584962500721156, abs=1e-12)
 
@@ -200,9 +194,7 @@ def test_probabilities_sum_to_one(macro):
     for _ in range(20):
         e = macro.random_uniform_eidostate(rng, 5, 3)
         report = shannon_decomposition(e, macro)
-        with mpmath.workprec(130):
-            total = sum(report.support.values())
-            assert abs(total - 1) < mpmath.mpf(10) ** -36
+        assert abs(sum(report.support.values()) - 1) < Fraction(1, 10**36)
 
 
 def test_tilted_entropy_gives_same_probabilities(macro):
@@ -213,7 +205,7 @@ def test_tilted_entropy_gives_same_probabilities(macro):
         member = rng.choice(e.members)
         base = entropic_probability(member, e, macro)
         shifted = entropic_probability(member, e, tilted)
-        assert abs(base - shifted) < mpmath.mpf(10) ** -30
+        assert abs(base - shifted) < Fraction(1, 10**30)
 
 
 def _power_sum(value):
@@ -240,17 +232,24 @@ def _reference_decomposition(e, oracle):
         mean = mpmath.mpf(0)
         shannon = mpmath.mpf(0)
         for m, p in support.items():
-            mean += p * entropy_mpf(oracle.state_entropy(m), FIRST_BITS)
+            mean += p * _mpf(entropy_mpf(oracle.state_entropy(m), FIRST_BITS))
             if p > 0:
                 shannon -= p * mpmath.log(p, 2)
         total = mpmath.log(total_weight, 2)
     return support, mean, shannon, total
 
 
+def _mpf(x):
+    """A Fraction as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def _mpf_decimal(value) -> str:
     """A number printed as the CLI once printed probabilities and the
     decomposition: nstr at 30 digits of a 128-bit number."""
     with mpmath.workprec(FIRST_BITS):
+        if isinstance(value, Fraction):
+            value = _mpf(value)
         return mpmath.nstr(value, 30, strip_zeros=False)
 
 
@@ -323,8 +322,71 @@ def test_decomposition_residual_is_certified_at_large_dimensions(dims):
     report = shannon_decomposition(e, model)
     assert 0 in report.residual_interval
     assert report.residual() == 0
-    with mpmath.workprec(FIRST_BITS):
-        assert abs(sum(report.support.values()) - 1) < mpmath.mpf(2) ** -120
+    assert abs(sum(report.support.values()) - 1) < Fraction(1, 2**120)
+
+
+class _EntropyTable:
+    """The two oracle calls probability_enclosure makes, from a table."""
+
+    def __init__(self, entropies):
+        self.entropies = entropies
+
+    def is_uniform(self, e):
+        return True
+
+    def state_entropy(self, m):
+        return self.entropies[m]
+
+
+def _is_tie(q: Fraction, digits: int) -> bool:
+    """q lies halfway between two roundings to the given significant digits."""
+    q = abs(q)
+    e = math.floor(math.log10(q))
+    while Fraction(10) ** e > q:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= q:
+        e += 1
+    return (q * Fraction(10) ** (digits - 1 - e)).denominator == 2
+
+
+@given(
+    hits=st.lists(st.fractions(-3, 3, max_denominator=12), min_size=1, max_size=4),
+    shifts=st.lists(st.integers(-4, 4), max_size=3),
+    scale=st.integers(1, 7),
+)
+@settings(max_examples=150, deadline=None)
+def test_rational_probabilities_match_their_enclosure(hits, shifts, scale):
+    """The other members repeat the hits' entropies shifted by integers,
+    and by log2 of an integer, so the powers are proportional and P is
+    the rational 1 / (1 + sum of 2^t + scale): the exact path gives it,
+    and the interval path (the hits' weights over all weights) encloses
+    it and prints the same digits away from rounding ties."""
+    entropies = {}
+    for i, h in enumerate(hits):
+        entropies[Atom(f"h{i}")] = ExactEntropy.from_rational(h)
+        for j, t in enumerate(shifts):
+            entropies[Atom(f"s{j}_{i}")] = ExactEntropy.from_rational(h + t)
+        if scale > 1:
+            entropies[Atom(f"k{i}")] = ExactEntropy([h]) + ExactEntropy.log2_of_int(scale)
+    hit_atoms = [Atom(f"h{i}") for i in range(len(hits))]
+    e = Eidostate(entropies)
+    p = probability_enclosure(hit_atoms, e.members, e, _EntropyTable(entropies))
+    assert p == Fraction(1) / (1 + sum(Fraction(2) ** t for t in shifts) + (scale if scale > 1 else 0))
+
+    def enclosure(bits):
+        weights = {m: s.power_interval(bits) for m, s in entropies.items()}
+        return sum(weights[m] for m in hit_atoms) / sum(weights.values())
+
+    assert p in enclosure(FIRST_BITS)
+    assume(not _is_tie(p, 30))
+    assert decimal_of(p) == decimal_of(enclosure)
+
+
+def test_irrational_probability_is_an_enclosure(macro):
+    e = Eidostate([S0, SH])
+    p = probability_enclosure([S0], e.members, e, macro)
+    assert callable(p)
+    assert entropic_probability(S0, e, macro) in p(FIRST_BITS)
 
 
 def test_gibbs_gap_zero_at_entropic(macro):

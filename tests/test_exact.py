@@ -1,5 +1,6 @@
 """Tests for exact entropy values and the interval comparator."""
 
+import contextlib
 import decimal
 import hashlib
 import math
@@ -8,9 +9,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_rational
 
 from eidothermo import exact
 from eidothermo.exact import (
@@ -22,6 +24,7 @@ from eidothermo.exact import (
     decimal_of,
     entropy_mpf,
     max_precision_bits,
+    power_ratio,
 )
 
 rationals = st.fractions(
@@ -180,7 +183,8 @@ def test_entropy_mpf_close():
 
 def test_interval_brackets_value():
     box = ExactEntropy([0, 1]).interval(128)
-    assert float(box.a) <= 1.584962500721156 <= float(box.b)
+    assert float(box.lower) <= 1.584962500721156 <= float(box.upper)
+    assert box.upper - box.lower < Fraction(1, 2**120)
 
 
 def test_rational_values_always_decided(monkeypatch):
@@ -213,6 +217,123 @@ def test_wider_cap_resolves_tiny_gap(monkeypatch):
     assert compare_entropy(y, x) is Comparison.LESS
 
 
+# -- the integer kernel against mpmath --------------------------------------
+
+kernel_bits = st.sampled_from((64, 128, 256, 1024))
+#: The kernel's guard bits only narrow its bounds, so the bounds must hold
+#: without them too, where a missing error term shows.
+guards = st.sampled_from((0, exact._GUARD))
+
+
+@contextlib.contextmanager
+def _guard_bits(guard):
+    caches = (exact._pow2_bounds, exact._ln2, exact._ln_table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_GUARD", guard)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            yield
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+
+@given(
+    num=st.integers(1, 10**40),
+    den_factor=st.integers(3, 10**6),
+    p=kernel_bits,
+    guard=guards,
+)
+@example(num=694, den_factor=52, p=256, guard=exact._GUARD)
+@settings(max_examples=150, deadline=None)
+def test_atanh_bounds_enclose_mpmath(num, den_factor, p, guard):
+    den = num * den_factor // 3 + num * 3
+    with _guard_bits(guard):
+        lo, hi = exact._atanh(num, den, p)
+    with mpmath.workprec(p + 200):
+        value = mpmath.atanh(mpmath.mpf(num) / den) * mpmath.mpf(2) ** p
+    assert lo <= value <= hi
+    if guard:
+        # Less than one unit apart before the floor and the ceiling.
+        assert hi - lo <= 2
+
+
+@given(
+    bits=kernel_bits,
+    d=st.one_of(st.sampled_from((2, 3, 7, 240240, 2**16)), st.integers(2, 10**6)),
+    guard=guards,
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_pow2_bounds_enclose_mpmath(bits, d, guard, data):
+    r = data.draw(st.integers(1, d - 1))
+    g = math.gcd(r, d)
+    r, d = r // g, d // g
+    with _guard_bits(guard):
+        lo, hi = exact._pow2_bounds(bits, r, d)
+    with mpmath.workprec(bits + 200):
+        value = mpmath.mpf(2) ** (bits + mpmath.mpf(r) / d)
+    assert lo <= value <= hi
+    if guard:
+        assert hi - lo <= 3
+
+
+def test_pow2_bounds_at_the_cap():
+    # The least common denominator of 1/16, 1/15, 1/13, 1/11 and 1/7.
+    for r, d in ((1, 240240), (240239, 240240), (1, 2**16), (1, 3)):
+        lo, hi = exact._pow2_bounds(4096, r, d)
+        with mpmath.workprec(4096 + 64):
+            value = mpmath.mpf(2) ** (4096 + mpmath.mpf(r) / d)
+        assert lo <= value <= hi and hi - lo <= 3
+
+
+@given(
+    m=st.integers(1, 2**300),
+    e=st.integers(-2000, 2000),
+    p=kernel_bits,
+    guard=guards,
+)
+@settings(max_examples=150, deadline=None)
+def test_log2_bounds_enclose_mpmath(m, e, p, guard):
+    with _guard_bits(guard):
+        lo, hi = exact._log2_bounds(m, e, p)
+    with mpmath.workprec(p + 400):
+        value = (mpmath.log(mpmath.mpf(m), 2) + e) * mpmath.mpf(2) ** p
+    assert lo <= value <= hi
+    if guard:
+        assert hi - lo <= 4
+
+
+def _no_ladder(cap):
+    raise AssertionError("the comparison climbed the ladder")
+
+
+def test_mixed_signs_decided_by_coefficient_bounds(monkeypatch):
+    monkeypatch.setattr(exact, "_precision_ladder", _no_ladder)
+    # 0 against log2(2^(1/4) + 2^(1/2)) leaves {0: +1, 1/4: -1, 1/2: -1},
+    # at most 1 - 1 - 1 < 0 as every 2^f is at least 1.
+    zero = ExactEntropy.from_rational(0)
+    two = ExactEntropy([Fraction(1, 4), Fraction(1, 2)])
+    assert compare_entropy(zero, two) is Comparison.LESS
+    assert compare_entropy(two, zero) is Comparison.GREATER
+    # log2 3 against 3/2 leaves {0: 3, 1/2: -2}, at least 3 - 2 * 3/2 = 0
+    # with 2^(1/2) < 1 + 1/2, so the difference is positive.
+    three = ExactEntropy.log2_of_int(3)
+    assert compare_entropy(three, ExactEntropy.from_rational(Fraction(3, 2))) is Comparison.GREATER
+
+
+def test_power_ratio_is_exact_on_proportional_forms():
+    x = ExactEntropy([Fraction(1, 3), Fraction(5, 6)])
+    assert power_ratio(x + 2, x) == 4
+    assert power_ratio(x, x + ExactEntropy.log2_of_int(3)) == Fraction(1, 3)
+    assert power_ratio(ExactEntropy([Fraction(1, 3)]), ExactEntropy([Fraction(-5, 3)])) == 4
+    # Different residues, or one residue with another coefficient ratio.
+    assert power_ratio(x, ExactEntropy([Fraction(1, 3)])) is None
+    assert power_ratio(x, ExactEntropy([Fraction(1, 3), Fraction(5, 6), Fraction(5, 6)])) is None
+    assert power_ratio(ExactEntropy([0]), ExactEntropy([0, Fraction(1, 2)])) is None
+
+
 def test_gap_at_residue_zero_is_exact(monkeypatch):
     # Both values lie at residue 0 and differ by 2^-300 in their powers:
     # the difference is an exact rational, decided at any cap.
@@ -222,12 +343,17 @@ def test_gap_at_residue_zero_is_exact(monkeypatch):
     assert compare_entropy(x, y) is Comparison.LESS
 
 
-def test_integer_logs_compare_without_intervals(monkeypatch):
-    def no_intervals(bits):
+def _forbid_intervals(monkeypatch):
+    """Make every bound of 2^f and of log2, and so every interval, fail."""
+    def no_intervals(*args):
         raise AssertionError("an interval was evaluated")
 
-    exact._pow2_bounds.cache_clear()
-    monkeypatch.setattr(exact, "_context", no_intervals)
+    monkeypatch.setattr(exact, "_pow2_bounds", no_intervals)
+    monkeypatch.setattr(exact, "_log2_bounds", no_intervals)
+
+
+def test_integer_logs_compare_without_intervals(monkeypatch):
+    _forbid_intervals(monkeypatch)
     x = ExactEntropy.log2_of_int(10**300)
     y = ExactEntropy.log2_of_int(10**300 + 1)
     assert compare_entropy(x, y) is Comparison.LESS
@@ -478,8 +604,17 @@ wide_exponent_lists = st.one_of(
 
 
 def _endpoints(box, bits):
+    """The ends of an mpmath interval, or of an exact.Interval, as mpf."""
+    if isinstance(box, exact.Interval):
+        return tuple(_mpf(x) for x in (box.lower, box.upper))
     with mpmath.workprec(bits):
         return mpmath.mpf(box.a), mpmath.mpf(box.b)
+
+
+def _mpf(x):
+    """A dyadic Fraction as an mpf, exactly."""
+    with mpmath.workprec(max(53, x.numerator.bit_length())):
+        return mpmath.mpf(x.numerator) / x.denominator
 
 
 @given(wide_exponent_lists)
@@ -495,16 +630,57 @@ def test_interval_matches_reference(xs):
             assert hi - lo <= mpmath.mpf(2) ** (8 - bits) * max(1, abs(lo), abs(hi))
 
 
-# The two 64-bit midpoints differ by up to 2^-62, so a float could round
-# apart on a rare input; a fixed example set keeps the check reproducible.
+def _reference(xs):
+    """log2 of the sum of 2^x as the midpoint of a 2,048-bit interval."""
+    ref_lo, ref_hi = _endpoints(_ref_log2(2048, xs), 2048)
+    with mpmath.workprec(2048):
+        return (ref_lo + ref_hi) / 2
+
+
+def _reference_float(xs) -> float:
+    """The double nearest the 2,048-bit value: its exact rational, then
+    Fraction's correct rounding."""
+    return float(Fraction(*to_rational(_reference(xs)._mpf_)))
+
+
+# ref_decimal accepts a 128-bit interval once it is narrower than
+# 10^-35, which near 0 can be twice the value (log2(1 + 2^-129)), so the
+# digits are held to the 2,048-bit value here.
 @given(wide_exponent_lists)
-@settings(max_examples=60, deadline=None, derandomize=True)
+@example([Fraction(0), Fraction(-129)])
+@settings(max_examples=60, deadline=None)
 def test_float_and_decimal_match_reference(xs):
     value, ref = ExactEntropy(xs), ref_canonical(xs)
-    ref_lo, ref_hi = _endpoints(_ref_log2(64, ref), 64)
-    with mpmath.workprec(64):
-        assert float(value) == float((ref_lo + ref_hi) / 2)
-    assert decimal_of(value, 30) == ref_decimal(ref, 30)
+    if value.is_rational:
+        assert float(value) == float(value.as_fraction())
+    else:
+        assert float(value) == _reference_float(ref)
+    with mpmath.workprec(2048):
+        assert decimal_of(value, 30) == mpmath.nstr(_reference(ref), 30, strip_zeros=False)
+
+
+#: Halfway between the doubles 1.5 and 1.5 + 2^-52.
+HALFWAY = Fraction(3, 2) + Fraction(1, 2**53)
+
+
+@pytest.mark.parametrize("xs, want", [
+    # log2(2^h + 2^(h - k)) = h + log2(1 + 2^-k), just above the halfway
+    # point h: it rounds up, though a float read from the 128-bit
+    # rung's midpoint would round to even when k = 200.
+    ((HALFWAY, HALFWAY - 100), 1.5 + 2**-52),
+    ((HALFWAY, HALFWAY - 200), 1.5 + 2**-52),
+    # Just below it: rounds down.
+    ((HALFWAY - Fraction(1, 2**90), HALFWAY - Fraction(1, 2**90) - 100), 1.5),
+    # Exact values round as their Fractions: the halfway point itself to
+    # even, and [x, x] is x + 1.
+    ((HALFWAY,), 1.5),
+    ((Fraction(1, 3), Fraction(1, 3)), float(Fraction(4, 3))),
+])
+def test_float_is_correctly_rounded_near_halfway(xs, want):
+    value = ExactEntropy(xs)
+    assert float(value) == want
+    if not value.is_rational:
+        assert _reference_float(ref_canonical(xs)) == want
 
 
 @given(wide_exponent_lists)

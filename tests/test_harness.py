@@ -10,7 +10,6 @@ import pytest
 
 from eidothermo import harness
 from eidothermo.engine import shannon_decomposition
-from eidothermo.exact import FIRST_BITS, _context
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -233,7 +232,7 @@ def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypat
     1e-12 let such a report pass.  The message prints the residual from
     the report's enclosure, so the offset goes into both."""
     config = SuiteConfig()
-    offset = _context(FIRST_BITS).mpf(2) ** -100
+    offset = Fraction(1, 2**100)
 
     def off_by_offset(e, oracle):
         report = shannon_decomposition(e, oracle)

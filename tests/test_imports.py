@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and none imports mpmath.
 
 No linter is part of the toolchain, so this stdlib ``ast`` check keeps
 dead imports from piling up.  A name counts as used when it appears as
@@ -54,3 +54,22 @@ def test_no_unused_module_level_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _imported_modules(tree: ast.Module):
+    """(top-level module, line) for every import, in functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_mpmath(path):
+    # The package's arithmetic runs on Python integers; mpmath is only the
+    # reference of the tests.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [line for name, line in _imported_modules(tree) if name == "mpmath"]
+    assert not lines, f"{path.name} imports mpmath at lines {lines}"
