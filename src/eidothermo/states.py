@@ -8,10 +8,10 @@ live object for their tree, looked up in weak tables (atoms by name,
 pairs by the identities of their children), so a table holds only the
 trees still in use.  Equality of trees is therefore identity, and each
 node stores its hash and its sort key when it is built, from its
-children's.  Its leaves, its grammar text (``str``) and any bottom-up
-value a model assigns to it (``fold``) are read by walks that keep
-their own stack, so trees of any depth enter eidostates, factor, fold
-and print.
+children's.  Its leaves, its texts (``str`` and ``repr``) and any
+bottom-up value a model assigns to it (``fold``) are read by walks that
+keep their own stack, so trees of any depth enter eidostates, factor,
+fold and print.
 An eidostate is a finite nonempty set of state expressions; combining two
 eidostates forms the Cartesian product of their members.  On top of that
 sit prime factorization with respect to the product, the similarity
@@ -153,20 +153,29 @@ class Pair(StateExpr):
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Pair({self.left!r}, {self.right!r})"
+        """``Pair(left, right)`` with the children's reprs, written
+        without recursion."""
+        return _write(self, "Pair(", ", ", repr)
 
     def __str__(self) -> str:
         """The grammar form ``(left + right)``, written without recursion."""
-        parts = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            while isinstance(node, Pair):
-                parts.append("(")
-                stack += (")", node.right, " + ")
-                node = node.left
-            parts.append(node if isinstance(node, str) else node.atom_id)
-        return "".join(parts)
+        return _write(self, "(", " + ", str)
+
+
+def _write(expr: StateExpr, opening: str, separator: str, leaf) -> str:
+    """The text of ``expr``: ``leaf(atom)`` at each atom, and
+    ``opening``, the left text, ``separator``, the right text and ``)``
+    at each pair.  The walk keeps its own stack, so any depth prints."""
+    parts = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        while isinstance(node, Pair):
+            parts.append(opening)
+            stack += (")", node.right, separator)
+            node = node.left
+        parts.append(node if isinstance(node, str) else leaf(node))
+    return "".join(parts)
 
 
 def _unpickle_tree(nodes: tuple) -> StateExpr:

@@ -251,3 +251,5 @@ def test_criterion_12_fault_injection_sensitivity():
         records = run_axiom_report(mutant, SUITE_CONFIG).counterexamples
         records += run_theorem_report(mutant, SUITE_CONFIG).counterexamples
         assert records, f"{mutant_cls.__name__} went undetected"
+        longest = max(len(r.inputs) for r in records)
+        assert longest <= 4096, f"{mutant_cls.__name__}: {longest} characters of inputs"

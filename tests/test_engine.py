@@ -415,6 +415,8 @@ def test_gibbs_gap_validation(macro):
         gibbs_gap(e, {S0: Fraction(2, 3)}, macro)
     with pytest.raises(ValueError):
         gibbs_gap(e, {S0: 1, SH: 0}, macro)
+    with pytest.raises(ValueError):
+        gibbs_gap(e, {S0: Fraction(-1, 2), S1: Fraction(3, 2)}, macro)
 
 
 class PairwiseUniformMacro(MacroModel):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from eidothermo.harness import (
     MutantWeightedRecords,
     SuiteConfig,
     _case_seed,
+    _check_axiom_6,
     _check_axiom_9,
     _check_theorem_17,
     _uniform_state,
@@ -27,7 +29,7 @@ from eidothermo.harness import (
 )
 from eidothermo.macro import MacroModel
 from eidothermo.quantum import QuantumModel
-from eidothermo.states import Pair, combine, singleton
+from eidothermo.states import Atom, Pair, combine, singleton
 
 FAST = SuiteConfig(cases_per_check=60, seed=42)
 
@@ -148,13 +150,20 @@ def test_weighted_records_mutant_is_caught_constructively():
 
 
 def test_counterexample_records_carry_replay_data():
-    config = SuiteConfig(cases_per_check=120, seed=42)
-    records = run_axiom_report(MutantFlippedEntropyOrder(), config).counterexamples
-    sample = records[0]
-    assert sample.check_id.startswith("Axiom")
-    assert sample.seed > 0
-    assert sample.inputs
-    assert sample.observed
+    model = MutantDropContentCriterion()
+    config = SuiteConfig(cases_per_check=20, seed=42)
+    record = next(r for r in run_axiom_report(model, config).counterexamples
+                  if r.check_id == "Axiom 6")
+    assert _check_axiom_6(model, config, random.Random(record.seed)) == (
+        record.inputs, record.observed)
+
+    # The printed inputs rebuild the arrow the record reports: the trees
+    # from their reprs, and J from its size.
+    assert "although a -> b + J holds" in record.observed
+    a, b, n = re.fullmatch(r"a=(.*), b=(.*), \|J\|=(\d+)", record.inputs).groups()
+    sa, sb = (singleton(eval(text, {"Atom": Atom, "Pair": Pair})) for text in (a, b))
+    j = model.make_information_state(int(n))
+    assert model.arrow_combined(((sa, 1),), ((sb, 1), (j, 1)))
 
 
 def _suite_rows() -> dict:

@@ -120,6 +120,20 @@ def reference_sort_key(expr):
     return ("p", reference_sort_key(expr.left), reference_sort_key(expr.right))
 
 
+def reference_repr(expr):
+    """``Pair(left, right)`` from the children's reprs, built at every call."""
+    if isinstance(expr, Atom):
+        return f"Atom({expr.atom_id!r})"
+    return f"Pair({reference_repr(expr.left)}, {reference_repr(expr.right)})"
+
+
+def reference_str(expr):
+    """The grammar form ``(left + right)``, built at every call."""
+    if isinstance(expr, Atom):
+        return expr.atom_id
+    return f"({reference_str(expr.left)} + {reference_str(expr.right)})"
+
+
 def reference_factorize(e):
     """Prime factors left to right: split along the pairing and factor
     each side recursively."""
@@ -161,6 +175,12 @@ def test_member_order_matches_the_recursive_sort_key(members):
     want = tuple(sorted(set(members), key=reference_sort_key))
     assert Eidostate(members).members == want
     assert Eidostate(reversed(members)).members == want
+
+
+@given(exprs(max_depth=8))
+def test_texts_match_the_recursive_reference(expr):
+    assert repr(expr) == reference_repr(expr)
+    assert str(expr) == reference_str(expr)
 
 
 @given(products(), products())
@@ -293,6 +313,9 @@ def test_hostile_depth_enters_factors_values_and_prints():
     assert e.members == (comb,)
     assert Eidostate([comb, B, comb, A]).members == (A, B, comb)
     assert str(comb) == "(a + " * n + "a" + ")" * n
+    text = "Pair(Atom('a'), " * n + "Atom('a')" + ")" * n
+    assert repr(comb) == text
+    assert repr(e) == f"Eidostate([{text}])"
     assert prime_factors(e) == Counter({singleton(A): n + 1})
 
     macro = MacroRegistry([AtomDef("a", 2, Fraction(1, 3))])
