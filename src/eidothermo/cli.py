@@ -42,11 +42,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from .engine import (
     MinInfoStatus,
     classify,
+    conditional_probability,
     entropy_uniform,
     irreversibility_estimate,
     landauer_check,
     min_information_to_transform,
-    probability_enclosure,
     shannon_decomposition,
 )
 from .exact import decimal_of
@@ -121,7 +121,7 @@ def _cmd_prob(args, sc: Scenario) -> CommandOutput:
     oracle = sc.oracle()
     state = sc.lookup_state(args.a)
     e = sc.lookup_eidostate(args.e)
-    decimal = decimal_of(probability_enclosure((state,), e.members, e, oracle))
+    decimal = decimal_of(conditional_probability((state,), e.members, e, oracle))
     return CommandOutput(
         command="prob",
         inputs={"eidostate": args.e, "model": sc.model, "state": args.a},
@@ -135,7 +135,9 @@ def _cmd_prob_report(args, sc: Scenario) -> CommandOutput:
     e = sc.lookup_eidostate(args.e)
     names = member_names(sc, e)
     report = shannon_decomposition(e, oracle)
-    *decimals, mean, shannon, total, residual = decimal_of(report.enclosure)
+    decimals = [decimal_of(p) for p in report.support.values()]
+    mean, shannon, total, residual = map(decimal_of, (
+        report.mean_state_entropy, report.shannon_term, report.entropy_total, report.residual))
     text = [f"P({name} | {args.e}) = {p}" for name, p in zip(names, decimals)]
     text += [
         f"mean state entropy: {mean}",
@@ -210,8 +212,10 @@ def _cmd_landauer(args, sc: Scenario) -> CommandOutput:
                     "satisfied": 0},
             text=["inapplicable: the bit-assisted process is impossible"],
         )
-    margin_exact = "" if verdict.margin_exact is None else _frac(verdict.margin_exact)
-    margin_line = f"margin: {verdict.margin_decimal}"
+    margin = verdict.margin
+    margin_decimal = decimal_of(margin)
+    margin_exact = "" if margin.exact is None else _frac(margin.exact)
+    margin_line = f"margin: {margin_decimal}"
     if margin_exact:
         margin_line += f" (exactly {margin_exact})"
     return CommandOutput(
@@ -219,7 +223,7 @@ def _cmd_landauer(args, sc: Scenario) -> CommandOutput:
         inputs=inputs,
         result={
             "applicable": 1,
-            "margin_decimal": verdict.margin_decimal,
+            "margin_decimal": margin_decimal,
             "margin_exact": margin_exact,
             "satisfied": int(verdict.satisfied),
         },

@@ -6,16 +6,15 @@ entropy decomposition, the Gibbs gap, the Dedekind-cut irreversibility
 estimator, demon planning (minimum information to enable a
 transformation) and the Landauer check.
 
-Probabilities and the decomposition read the weights 2^S(m) from the
-exact integer enclosures and are evaluated in the interval arithmetic of
-exact.Interval.  A probability is decided exactly when it is rational,
-that is when the powers it divides are proportional; any other library
-number is read at the first rung as the exact midpoint of its certified
-interval, or exactly 0 when the interval contains 0, and the residual of
-S(E) = <S> + H is certified.  For exact.decimal_of the same intervals
-are evaluated at any rung, and the Landauer margin is a difference of
-entropies.  The Gibbs gap is the midpoint of its interval at the first
-rung.  The Landauer verdict is an exact comparison.
+Probabilities, the decomposition, the Gibbs gap and the Landauer margin
+are exact.Real numbers: the Fraction itself when the number is known to
+be rational, otherwise an enclosure evaluated in the interval arithmetic
+of exact.Interval, at any rung of the precision ladder.  A probability
+is rational exactly when the powers it divides are proportional.  The
+residual of S(E) = <S> + H is exactly 0 when its interval at the first
+rung contains 0, as the identity is exact; the Gibbs gap is exactly 0
+when every weight is its member's rational probability.  The Landauer
+verdict is an exact comparison.
 
 The irreversibility estimator deliberately uses only the arrow relation;
 entropy differences appear in these functions only as search bounds or
@@ -31,20 +30,18 @@ the two entropies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from .exact import (
     FIRST_BITS,
     Comparison,
     ExactEntropy,
     Interval,
+    Real,
     compare_entropy,
-    decimal_of,
-    difference,
-    point,
     power_ratio,
 )
 from .oracle import InformationState, ModelOracle
@@ -87,20 +84,21 @@ def entropy_uniform(e: Eidostate, oracle: ModelOracle) -> ExactEntropy:
 # -- probabilities ----------------------------------------------------
 
 
-def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle) -> Fraction:
+def entropic_probability(a: StateExpr, e: Eidostate, oracle: ModelOracle) -> Real:
     """P(a | e) = 2^(S(a) - S(e)) for members, 0 otherwise."""
     return conditional_probability((a,), e.members, e, oracle)
 
 
-def probability_enclosure(
+def conditional_probability(
     b: Iterable[StateExpr],
     a: Iterable[StateExpr],
     e: Eidostate,
     oracle: ModelOracle,
-):
-    """P(b | a within e): the Fraction itself when it is rational, else a
-    function from a working precision in bits to an Interval containing
-    it.  Both weights are exact sums, so neither depends on set order."""
+) -> Real:
+    """P(b | a within e), with empty sets carrying probability zero:
+    exact when it is rational, else the ratio of the two weights'
+    enclosures.  Both weights are exact sums, so neither depends on set
+    order."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     set_a, set_b = set(a), set(b)
@@ -109,24 +107,13 @@ def probability_enclosure(
         raise ValueError("conditioning set does not meet the eidostate")
     hits = [m for m in given if m in set_b]
     if not hits:
-        return Fraction(0)
+        return Real(0)
     numer = ExactEntropy.log2_sum_of_powers(oracle.state_entropy(m) for m in hits)
     denom = ExactEntropy.log2_sum_of_powers(oracle.state_entropy(m) for m in given)
     ratio = power_ratio(numer, denom)
     if ratio is not None:
-        return ratio
-    return lambda bits: numer.power_interval(bits) / denom.power_interval(bits)
-
-
-def conditional_probability(
-    b: Iterable[StateExpr],
-    a: Iterable[StateExpr],
-    e: Eidostate,
-    oracle: ModelOracle,
-) -> Fraction:
-    """P(b | a within e), with empty sets carrying probability zero."""
-    p = probability_enclosure(b, a, e, oracle)
-    return point(p(FIRST_BITS) if callable(p) else p)
+        return Real(ratio)
+    return Real(lambda bits: numer.power_interval(bits) / denom.power_interval(bits))
 
 
 @dataclass(frozen=True)
@@ -134,30 +121,22 @@ class ProbabilityReport:
     """Entropic probabilities of a uniform eidostate and the split of its
     entropy into mean member entropy plus Shannon information.
 
-    Each number is a Fraction: a rational probability itself, anything
-    else read from its certified interval at the first rung by
-    ``exact.point``.  ``residual_interval`` encloses S(E) - (<S> + H).
-    ``enclosure`` gives the intervals at any rung for ``exact.decimal_of``:
-    the probabilities in member order (the rational ones exact), <S>, H,
-    S(E) and the residual, exactly 0 when its interval contains 0, as
-    the identity is exact.
+    Each number is a Real: a rational probability or entropy exactly,
+    anything else read from one set of intervals per rung.  The residual
+    S(E) - (<S> + H) is exactly 0 when its first-rung interval contains
+    0, as the identity is exact, and otherwise its enclosure.
     """
 
-    support: Dict[StateExpr, Fraction]
-    entropy_total: Fraction
-    mean_state_entropy: Fraction
-    shannon_term: Fraction
-    residual_interval: Interval
-    enclosure: Callable[[int], tuple] = field(repr=False, compare=False)
-
-    def residual(self) -> Fraction:
-        """|S(E) - (<S> + H)|: exactly 0 when its interval contains 0."""
-        return abs(point(self.residual_interval))
+    support: Dict[StateExpr, Real]
+    entropy_total: Real
+    mean_state_entropy: Real
+    shannon_term: Real
+    residual: Real
 
 
 def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityReport:
     """Probabilities plus the identity S(E) = <S> + H in interval
-    arithmetic, evaluated once per rung and read at the first."""
+    arithmetic, evaluated once per rung."""
     if not oracle.is_uniform(e):
         raise NotUniformError(f"eidostate {e} is not uniform")
     members = e.members
@@ -176,21 +155,19 @@ def shannon_decomposition(e: Eidostate, oracle: ModelOracle) -> ProbabilityRepor
         if len(members) == 1:
             shannon = 0  # p = 1 exactly, which w / w does not certify
         total = total_weight.log2()
-        probabilities = [p if x is None else x for x, p in zip(rational, probabilities)]
         return (*probabilities, mean, shannon, total, total - (mean + shannon))
 
-    def enclosure(bits: int) -> tuple:
-        *numbers, residual = intervals(bits)
-        return (*numbers, 0 if 0 in residual else residual)
+    def item(i: int) -> Real:
+        return Real(lambda bits: intervals(bits)[i])
 
-    *probabilities, mean, shannon, total, residual = intervals(FIRST_BITS)
+    residual = intervals(FIRST_BITS)[-1]
     return ProbabilityReport(
-        support={m: point(p) for m, p in zip(members, probabilities)},
-        entropy_total=point(total),
-        mean_state_entropy=point(mean),
-        shannon_term=point(shannon),
-        residual_interval=residual,
-        enclosure=enclosure,
+        support={m: item(i) if x is None else Real(x)
+                 for i, (m, x) in enumerate(zip(members, rational))},
+        entropy_total=Real(entropy.as_fraction()) if entropy.is_rational else item(-2),
+        mean_state_entropy=item(-4),
+        shannon_term=Real(0) if len(members) == 1 else item(-3),
+        residual=Real(0) if 0 in residual else item(-1),
     )
 
 
@@ -198,11 +175,12 @@ def gibbs_gap(
     e: Eidostate,
     distribution: Mapping[StateExpr, object],
     oracle: ModelOracle,
-) -> Fraction:
-    """S(E) minus the decomposition value under an arbitrary distribution,
-    read at the first rung from its certified interval.
+) -> Real:
+    """S(E) minus the decomposition value under an arbitrary distribution.
 
-    Nonnegative always; zero exactly at the entropic distribution.  The
+    Nonnegative always; zero exactly at the entropic distribution, which
+    is decided exactly: every weight equals its member's probability,
+    which is then rational.  Any other gap is its enclosure.  The
     weights are taken as exact rationals (ints, Fractions or floats).
     """
     entropy = entropy_uniform(e, oracle)
@@ -214,12 +192,18 @@ def gibbs_gap(
         raise ValueError("distribution has a negative weight")
     if abs(sum(probs.values()) - 1) > Fraction(1, 10**9):
         raise ValueError("distribution does not sum to one")
-    gap = entropy.interval(FIRST_BITS)
-    for m, p in probs.items():
-        if p > 0:
-            mean = p * oracle.state_entropy(m).interval(FIRST_BITS)
-            gap -= mean - p * Interval.of(p, FIRST_BITS).log2()
-    return point(gap)
+    weighted = [(p, oracle.state_entropy(m)) for m, p in probs.items()]
+    if all(p == power_ratio(s, entropy) for p, s in weighted):
+        return Real(0)
+
+    def gap(bits: int) -> Interval:
+        total = entropy.interval(bits)
+        for p, s in weighted:
+            if p > 0:
+                total -= p * s.interval(bits) - p * Interval.of(p, bits).log2()
+        return total
+
+    return Real(gap)
 
 
 # -- irreversibility --------------------------------------------------
@@ -423,12 +407,12 @@ def demonically_possible(
 
 @dataclass(frozen=True)
 class LandauerVerdict:
-    """Outcome of the erasure-bound check on a singleton pair."""
+    """Outcome of the erasure-bound check on a singleton pair.  The
+    margin S(b) - S(a) - 1 is exact when both entropies are rational."""
 
     applicable: bool
     satisfied: Optional[bool]
-    margin_exact: Optional[Fraction]
-    margin_decimal: Optional[str]
+    margin: Optional[Real]
 
 
 def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerVerdict:
@@ -437,11 +421,15 @@ def landauer_check(a: StateExpr, b: StateExpr, oracle: ModelOracle) -> LandauerV
     sa, sb = singleton(a), singleton(b)
     erases = oracle.arrow_combined(((sa, 1), (InformationState(2), 1)), ((sb, 1),))
     if not erases:
-        return LandauerVerdict(False, None, None, None)
+        return LandauerVerdict(False, None, None)
     ea = oracle.state_entropy(a)
     eb = oracle.state_entropy(b)
     bound = ea + 1
     satisfied = compare_entropy(eb, bound) is not Comparison.LESS
-    margin = difference(eb, bound)  # exactly 0 when the comparison says EQUAL
-    margin_exact = margin if ea.is_rational and eb.is_rational else None
-    return LandauerVerdict(True, satisfied, margin_exact, decimal_of(margin))
+    if ea.is_rational and eb.is_rational:
+        margin = Real(eb.as_fraction() - bound.as_fraction())
+    elif eb == bound:
+        margin = Real(lambda bits: Interval(0, 0, 0, bits))
+    else:
+        margin = Real(lambda bits: eb.interval(bits) - bound.interval(bits))
+    return LandauerVerdict(True, satisfied, margin)

@@ -36,13 +36,13 @@ Otherwise the sign is read from the enclosure at escalating precision:
 cap raises ``PrecisionExhausted`` rather than guessing.  ``floor`` is
 one such comparison against an integer; ``power_interval`` is the
 enclosure of 2^value as an ``Interval`` and ``interval`` its logarithm.
-``decimal_of``, the one printer of decimals, rounds a rational exactly
-and any other number once its enclosure, evaluated up the same ladder,
-fixes every printed digit; ``float`` climbs the ladder the same way to
-the correctly rounded double.  ``point`` reads a library number from a
-certified interval: exactly 0 when it contains 0, else its exact
-midpoint, a ``Fraction``.  ``power_ratio`` decides when a ratio of
-powers is rational and gives it exactly.
+A ``Real`` is a computed number that may be irrational: an exact
+``Fraction``, or a function from a working precision to an enclosing
+``Interval``.  ``decimal_of``, the one printer of decimals, rounds a
+rational exactly and any other number once its enclosure, evaluated up
+the same ladder, fixes every printed digit; ``float`` climbs the ladder
+the same way to the correctly rounded double.  ``power_ratio`` decides
+when a ratio of powers is rational and gives it exactly.
 
 All of it is arithmetic on Python integers (Brent and Zimmermann,
 *Modern Computer Arithmetic*, ch. 4).  2^(r/d) is bounded by the
@@ -366,9 +366,7 @@ class ExactEntropy:
     def __float__(self) -> float:
         """The correctly rounded double."""
         v = self._v
-        if type(v) is Fraction:
-            return float(v)
-        return _climb(self.interval, _float_of, "round to a float")
+        return float(Real(v if type(v) is Fraction else self.interval))
 
 
 #: Writes the ``_v`` slot past the immutability guard of ``__setattr__``.
@@ -713,11 +711,8 @@ def _rounded(n: int, d: int, digits: int) -> str:
     return f"{sign}{text[0]}.{text[1:]}e{'+' if e > 0 else ''}{e}"
 
 
-def _decided(box, digits: int):
-    """The rounding of the number an enclosure stands for: a rational's
-    outright, an interval's when both ends round alike, else None."""
-    if type(box) is not Interval:
-        return _rounded(box.numerator, box.denominator, digits)
+def _decided(box: Interval, digits: int):
+    """The rounding both ends of an interval share, else None."""
     lo, hi = (_rounded(x.numerator, x.denominator, digits) for x in (box.lower, box.upper))
     return lo if lo == hi else None
 
@@ -739,37 +734,65 @@ def _climb(enclosure, read, what: str):
     raise PrecisionExhausted(f"cannot {what} within {cap} bits")
 
 
-def decimal_of(value, digits: int = 30):
-    """A rational, an ExactEntropy or an enclosure rounded to the given
+class Real:
+    """A certified real number: the ``Fraction`` itself when it is known
+    to be rational, otherwise a function from a working precision in bits
+    to an ``Interval`` that contains it.
+
+    ``exact`` is the ``Fraction`` or None.  A Real has no arithmetic and
+    no comparisons: read it with ``interval``, ``float`` or ``decimal_of``.
+    """
+
+    __slots__ = ("exact", "_enclosure")
+
+    def __init__(self, value):
+        if isinstance(value, (int, Fraction)):
+            exact, enclosure = Fraction(value), None
+        elif callable(value):
+            exact, enclosure = None, value
+        else:
+            raise TypeError(f"a Real is a rational or an enclosure, got {type(value).__name__}")
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_enclosure", enclosure)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Real is immutable")
+
+    def interval(self, bits: int) -> Interval:
+        """An interval containing the number, at the given working precision."""
+        if self.exact is not None:
+            return Interval.of(self.exact, bits)
+        return self._enclosure(bits)
+
+    def __float__(self) -> float:
+        """The correctly rounded double."""
+        if self.exact is not None:
+            return float(self.exact)
+        return _climb(self._enclosure, _float_of, "round to a float")
+
+    def __repr__(self) -> str:
+        if self.exact is not None:
+            return f"Real({self.exact})"
+        return f"Real({self.interval(FIRST_BITS)!r})"
+
+
+def decimal_of(value, digits: int = 30) -> str:
+    """A rational, an ExactEntropy or a Real rounded to the given
     significant digits, in mpmath's nstr format with trailing zeros kept.
 
-    An enclosure maps a working precision in bits to an Interval, a
-    rational or a tuple of them (then a tuple of strings is returned).
-    Rationals round exactly; intervals are evaluated up the ladder until
-    both ends of each round alike (Ziv's test), so every printed digit
-    is certified, or PrecisionExhausted is raised at the cap.
+    Rationals round exactly; any other number's intervals are evaluated
+    up the ladder until both ends round alike (Ziv's test), so every
+    printed digit is certified, or PrecisionExhausted is raised at the cap.
     """
     if isinstance(value, ExactEntropy):
-        value = value._v if value.is_rational else value.interval
-    if not callable(value):
-        return _decided(value, digits)
-
-    def read(boxes):
-        if type(boxes) is not tuple:
-            return _decided(boxes, digits)
-        texts = tuple(_decided(box, digits) for box in boxes)
-        return None if None in texts else texts
-
-    return _climb(value, read, f"round to {digits} digits")
-
-
-def difference(x: ExactEntropy, y: ExactEntropy):
-    """x - y for decimal_of: exact when x = y or both are rational."""
-    if x == y:
-        return Fraction(0)
-    if x.is_rational and y.is_rational:
-        return x.as_fraction() - y.as_fraction()
-    return lambda bits: x.interval(bits) - y.interval(bits)
+        value = Real(value._v if value.is_rational else value.interval)
+    elif isinstance(value, (int, Fraction)):
+        value = Real(value)
+    elif not isinstance(value, Real):
+        raise TypeError(f"decimal_of cannot read a {type(value).__name__}")
+    if value.exact is not None:
+        return _rounded(value.exact.numerator, value.exact.denominator, digits)
+    return _climb(value.interval, lambda box: _decided(box, digits), f"round to {digits} digits")
 
 
 def power_ratio(x: ExactEntropy, y: ExactEntropy):
@@ -789,19 +812,3 @@ def power_ratio(x: ExactEntropy, y: ExactEntropy):
         if rx != ry or m * n0 != n * m0:
             return None
     return Fraction(m0, n0) * _fraction(1, sx - sy)
-
-
-def point(box) -> Fraction:
-    """The number a certified enclosure stands for: a rational itself, 0
-    when the interval contains 0, otherwise its exact midpoint."""
-    if type(box) is not Interval:
-        return Fraction(box)
-    if box.lo <= 0 <= box.hi:
-        return Fraction(0)
-    return _fraction(box.lo + box.hi, box.exp - 1)
-
-
-def entropy_mpf(value: ExactEntropy, bits: int) -> Fraction:
-    """The value read at the given precision: the exact midpoint of its
-    enclosing interval."""
-    return point(value.interval(bits))

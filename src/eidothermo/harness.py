@@ -523,12 +523,12 @@ def _check_theorem_15(oracle, config, rng) -> CheckOutcome:
 
 def _check_theorem_17(oracle, config, rng) -> CheckOutcome:
     """Entropy splits into mean state entropy plus Shannon information:
-    the certified interval of the residual contains 0."""
+    the residual is exactly 0, as its certified interval contains 0."""
     e = _uniform_state(oracle, config, rng)
     report = shannon_decomposition(e, oracle)
-    if 0 in report.residual_interval:
+    if report.residual.exact == 0:
         return None
-    residual = decimal_of(lambda bits: report.enclosure(bits)[-1], 8)
+    residual = decimal_of(report.residual, 8)
     return (f"E={e!r}", f"decomposition residual {residual} is certified nonzero")
 
 

@@ -23,7 +23,7 @@ from eidothermo.engine import (
     landauer_check,
     shannon_decomposition,
 )
-from eidothermo.exact import ExactEntropy, decimal_of, entropy_mpf
+from eidothermo.exact import FIRST_BITS, ExactEntropy, decimal_of
 from eidothermo.harness import (
     MutantDropContentCriterion,
     MutantFlippedEntropyOrder,
@@ -130,7 +130,7 @@ def test_criterion_06_entropy_decomposition_residual():
     for _ in range(200):
         e = model.random_uniform_eidostate(rng)
         report = shannon_decomposition(e, model)
-        assert float(report.residual()) <= 1e-12, e
+        assert report.residual.exact == 0, e
 
 
 def test_criterion_07_irreversibility_brackets():
@@ -177,7 +177,7 @@ def test_criterion_08_erasure_bound_exhaustive():
             assert verdict.applicable == erases, (a, b)
             if verdict.applicable:
                 assert verdict.satisfied
-                assert verdict.margin_exact == reg.s_value(b) - reg.s_value(a) - 1
+                assert verdict.margin.exact == reg.s_value(b) - reg.s_value(a) - 1
 
 
 def test_criterion_09_quantum_isometries_and_mixtures():
@@ -204,16 +204,30 @@ def test_criterion_09_quantum_isometries_and_mixtures():
             assert np.max(np.abs(u.conj().T @ u - p_a)) <= 1e-10, (d_a, d_b)
 
 
+def _rational_within(p) -> Fraction:
+    if p.exact is not None:
+        return p.exact
+    box = p.interval(FIRST_BITS)
+    return (box.lower + box.upper) / 2
+
+
 def test_criterion_10_entropic_distribution_is_unique_minimum():
     model = MacroModel()
     rng = random.Random(SEED)
-    done = 0
+    done = rational = 0
     while done < 100:
         e = model.random_uniform_eidostate(rng, max_size=6)
         if len(e) < 2:
             continue
-        entropic = {m: entropic_probability(m, e, model) for m in e}
-        assert float(gibbs_gap(e, entropic, model)) <= 1e-12
+        probabilities = {m: entropic_probability(m, e, model) for m in e}
+        # The weights are rationals: the probability itself where it is
+        # rational, else the midpoint of its first-rung interval.
+        entropic = {m: _rational_within(p) for m, p in probabilities.items()}
+        gap = gibbs_gap(e, entropic, model)
+        assert float(gap) <= 1e-12
+        if all(p.exact is not None for p in probabilities.values()):
+            assert gap.exact == 0, e
+            rational += 1
         members = list(e)
         source = max(members, key=lambda m: entropic[m])
         target = rng.choice([m for m in members if m != source])
@@ -224,6 +238,7 @@ def test_criterion_10_entropic_distribution_is_unique_minimum():
         gap = gibbs_gap(e, perturbed, model)
         assert float(gap) > 0, (e, float(delta))
         done += 1
+    assert rational == 27
 
 
 def test_criterion_11_demonic_equivalence():

@@ -21,8 +21,10 @@ from eidothermo.exact import (
     ExactEntropy,
     PrecisionExhausted,
     compare_entropy,
+    FIRST_BITS,
+    Interval,
+    Real,
     decimal_of,
-    entropy_mpf,
     max_precision_bits,
     power_ratio,
 )
@@ -176,15 +178,48 @@ def test_decimal_of_rational_formats(value, text):
     assert decimal_of(ExactEntropy.from_rational(value), 30) == text
 
 
-def test_entropy_mpf_close():
-    approx = entropy_mpf(ExactEntropy([0, 1]), 128)
-    assert abs(float(approx) - 1.584962500721156) < 1e-12
-
-
 def test_interval_brackets_value():
     box = ExactEntropy([0, 1]).interval(128)
     assert float(box.lower) <= 1.584962500721156 <= float(box.upper)
     assert box.upper - box.lower < Fraction(1, 2**120)
+
+
+def test_real_is_a_fraction_or_an_enclosure():
+    third = Real(Fraction(1, 3))
+    assert third.exact == Fraction(1, 3)
+    assert Fraction(1, 3) in third.interval(FIRST_BITS)
+    assert (float(third), decimal_of(third, 5)) == (1 / 3, "0.33333")
+    assert type(Real(2).exact) is Fraction
+    log3 = ExactEntropy([0, 1])
+    real = Real(log3.interval)
+    assert real.exact is None
+    assert real.interval(256).lower == log3.interval(256).lower
+    assert float(real) == float(log3)
+    assert decimal_of(real) == decimal_of(log3)
+    assert repr(Real(Fraction(-1, 2))) == "Real(-1/2)"
+    for bad in ("1/2", 0.5, None):
+        with pytest.raises(TypeError):
+            Real(bad)
+
+
+def test_real_is_immutable_and_has_no_arithmetic():
+    real = Real(1)
+    with pytest.raises(AttributeError):
+        real.exact = Fraction(2)
+    for op in (lambda: real + real, lambda: real * 2, lambda: real < Real(2), lambda: -real):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("value", [
+    lambda bits: Interval.of(Fraction(1, 3), bits),
+    (Fraction(1, 3),),
+    Interval.of(Fraction(1, 3), FIRST_BITS),
+    0.5,
+])
+def test_decimal_of_reads_only_rationals_entropies_and_reals(value):
+    with pytest.raises(TypeError):
+        decimal_of(value)
 
 
 def test_rational_values_always_decided(monkeypatch):
@@ -679,6 +714,7 @@ HALFWAY = Fraction(3, 2) + Fraction(1, 2**53)
 def test_float_is_correctly_rounded_near_halfway(xs, want):
     value = ExactEntropy(xs)
     assert float(value) == want
+    assert float(Real(value.interval)) == want
     if not value.is_rational:
         assert _reference_float(ref_canonical(xs)) == want
 

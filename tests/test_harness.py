@@ -11,6 +11,7 @@ import pytest
 
 from eidothermo import harness
 from eidothermo.engine import shannon_decomposition
+from eidothermo.exact import Real
 from eidothermo.harness import (
     AXIOM_CHECKS,
     THEOREM_CHECKS,
@@ -237,24 +238,16 @@ def test_axiom_4_first_clause_is_live_in_every_macro_case():
 
 def test_theorem_17_flags_a_certified_residual_of_two_to_the_minus_100(monkeypatch):
     """A report whose entropy misses <S> + H by 2^-100 is a counterexample:
-    its certified residual interval excludes 0.  A float tolerance of
-    1e-12 let such a report pass.  The message prints the residual from
-    the report's enclosure, so the offset goes into both."""
+    its residual is not exactly 0.  A float tolerance of 1e-12 let such
+    a report pass.  The message prints the residual from its enclosure."""
     config = SuiteConfig()
     offset = Fraction(1, 2**100)
 
     def off_by_offset(e, oracle):
         report = shannon_decomposition(e, oracle)
-
-        def enclosure(bits):
-            *numbers, residual = report.enclosure(bits)
-            return (*numbers, residual + offset)
-
-        return dataclasses.replace(
-            report,
-            residual_interval=report.residual_interval + offset,
-            enclosure=enclosure,
-        )
+        assert report.residual.exact == 0
+        residual = Real(lambda bits: report.residual.interval(bits) + offset)
+        return dataclasses.replace(report, residual=residual)
 
     for model in (MacroModel(), QuantumModel()):
         assert _check_theorem_17(model, config, random.Random(7)) is None

@@ -56,7 +56,8 @@ def test_one_side_must_come_from_one_source_tree():
 
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-PAIRS_PER_WORKLOAD = 10
+#: A claim needs at least ten pairs per workload; a longer series is kept whole.
+MIN_PAIRS_PER_WORKLOAD = 10
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -69,10 +70,11 @@ def test_committed_bench_files_are_complete(path):
     assert parent["nproc"] == change["nproc"]
     for workload in BENCHMARK["workloads"]:
         entry = bench["workloads"][workload["name"]]
-        assert len(entry["seeds"]) == PAIRS_PER_WORKLOAD, workload["name"]
+        pairs = len(entry["seeds"])
+        assert pairs >= MIN_PAIRS_PER_WORKLOAD, workload["name"]
         for metric in BENCHMARK["end_to_end"]:
             runs = entry["metrics"][metric["name"]]
-            assert runs["pairs"] == PAIRS_PER_WORKLOAD
+            assert runs["pairs"] == pairs
             for side in ("parent", "change"):
-                assert len(runs[side]["runs"]) == PAIRS_PER_WORKLOAD, (
+                assert len(runs[side]["runs"]) == pairs, (
                     workload["name"], metric["name"], side)
