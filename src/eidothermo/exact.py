@@ -388,21 +388,28 @@ _TABLE_BITS = 8
 def _atanh(num: int, den: int, p: int) -> tuple:
     """Integers lo <= 2^p * atanh(num/den) <= hi for 0 <= num/den <= 1/3.
 
-    The series of z^(2k+1)/(2k+1) runs at p + _GUARD bits.  Each power
-    of z is the floor of the previous one times z^2, so it trails the
-    true power by less than 9/8 units and each term by less than 17/8;
-    once a power reaches 0, the rest of the series is below 2 units.
+    The series of z^(2k+1)/(2k+1) runs at q = p + _GUARD bits.  Each
+    power of z is the floor of the previous one times z^2.  When den^2
+    is wider than q bits, z^2 is first rounded down to q bits, once, so
+    every product stays that narrow: with the powers below 2^q/3, this
+    costs each step less than 1/3 unit, and a power trails the true
+    one by less than 3/2 units (9/8 when z^2 is exact), each term by
+    less than 5/2.  Once a power reaches 0, the rest of the series is
+    below 27/16 units; 3 units per term and 2 more cover it all.
     """
     if not num:
         return 0, 0
     q = p + _GUARD
     power = (num << q) // den
     n2, d2 = num * num, den * den
+    shift = 0
+    if d2.bit_length() > q:
+        n2, d2, shift = (n2 << q) // d2, 1, q
     total = terms = 0
     while power:
         terms += 1
         total += power // (2 * terms - 1)
-        power = power * n2 // d2
+        power = power * n2 // d2 >> shift
     return total >> _GUARD, -(-(total + 3 * terms + 2) >> _GUARD)
 
 

@@ -47,7 +47,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .exact import Comparison, ExactEntropy, compare_entropy
@@ -458,13 +458,28 @@ class MacroModel(ModelOracle):
         self, rng: random.Random, max_size: int = 6, max_depth: int = 4
     ) -> Eidostate:
         q = rng.randint(0, max(1, max_depth - 1))
-        size = rng.randint(1, max_size)
+        # Content 0 reaches only r and (r + r): never ask for more members
+        # than the content class holds.
+        size = min(rng.randint(1, max_size), reachable_states(q))
         members = set()
         attempts = 0
         while len(members) < size and attempts < 30 * size:
             members.add(self.random_state_with_content(rng, q))
             attempts += 1
         return Eidostate(members)
+
+
+def reachable_states(q: int) -> int:
+    """The number of distinct trees ``random_state_with_content`` can
+    return for content q with its default two extra records: over the
+    allowed record counts k, C(q + k, k) placements of the records among
+    q + k leaves, |L|^q choices of the standard atoms and
+    Catalan(q + k - 1) shapes."""
+    total = 0
+    for k in range(0 if q else 1, 3):
+        n = q + k
+        total += comb(n, k) * len(STANDARD_LAMBDAS) ** q * comb(2 * n - 2, n - 1) // n
+    return total
 
 
 def _random_shape(rng: random.Random, leaves) -> StateExpr:

@@ -238,7 +238,7 @@ def test_criterion_10_entropic_distribution_is_unique_minimum():
         gap = gibbs_gap(e, perturbed, model)
         assert float(gap) > 0, (e, float(delta))
         done += 1
-    assert rational == 27
+    assert rational == 28
 
 
 def test_criterion_11_demonic_equivalence():

@@ -294,6 +294,35 @@ def test_atanh_bounds_enclose_mpmath(num, den_factor, p, guard):
         assert hi - lo <= 2
 
 
+def _atanh_reference(z: Fraction, p: int) -> tuple:
+    """Fractions below and above 2^p * atanh(z) for 0 <= z <= 1/3, less
+    than 2^-64 apart: a partial sum of the series, and that plus a bound
+    z^(2k+1) / (1 - z^2) on the rest."""
+    z2, power, total, k = z * z, z, Fraction(0), 0
+    while power / (1 - z2) >= Fraction(1, 2 ** (p + 64)):
+        total += power / (2 * k + 1)
+        power *= z2
+        k += 1
+    return total * 2**p, (total + power / (1 - z2)) * 2**p
+
+
+@given(
+    den=st.integers(3, 2**300),
+    share=st.integers(0, 2**64),
+    p=st.integers(1, 48),
+    guard=guards,
+)
+@example(den=2**300 - 1, share=2**64, p=1, guard=0)
+@settings(max_examples=150, deadline=None)
+def test_atanh_rounds_wide_operands_outward(den, share, p, guard):
+    # A den^2 wider than p + guard bits takes the path that rounds z^2.
+    num = (den // 3) * share >> 64
+    with _guard_bits(guard):
+        lo, hi = exact._atanh(num, den, p)
+    below, above = _atanh_reference(Fraction(num, den), p)
+    assert lo <= below and above <= hi
+
+
 @given(
     bits=kernel_bits,
     d=st.one_of(st.sampled_from((2, 3, 7, 240240, 2**16)), st.integers(2, 10**6)),

@@ -22,6 +22,7 @@ from eidothermo.harness import (
     SuiteConfig,
     _case_seed,
     _check_axiom_6,
+    _check_axiom_7,
     _check_axiom_9,
     _check_theorem_17,
     _uniform_state,
@@ -47,7 +48,7 @@ def test_config_validates_bounds():
     with pytest.raises(ValueError):
         SuiteConfig(cases_per_check=0)
     with pytest.raises(ValueError):
-        SuiteConfig(stability_n=0)
+        SuiteConfig(max_state_depth=0)
 
 
 def test_check_labels_are_stable():
@@ -99,15 +100,50 @@ def test_different_seeds_draw_different_inputs():
     }
 
 
-def test_stability_anomalies_are_inconclusive_not_failures():
-    report = run_axiom_report(MacroModel(), SuiteConfig(cases_per_check=200, seed=42))
-    notes = [
-        note
-        for result in report.results
-        for _, note in result.inconclusive
-    ]
-    assert any("finite-stability anomaly" in note for note in notes)
-    assert report.counterexamples == []
+class _StableUntil(MacroModel):
+    """A stub oracle: A -> B fails, and n·A -> n·B + J holds exactly for
+    the copy counts n below ``fails_from``."""
+
+    def __init__(self, fails_from):
+        super().__init__()
+        self.fails_from = fails_from
+        self.copies = []
+
+    def arrow(self, a, b):
+        return False
+
+    def arrow_combined(self, parts_a, parts_b):
+        ((_, n),) = parts_a
+        self.copies.append(n)
+        return n < self.fails_from
+
+
+def test_axiom_7_passes_on_a_stability_witness():
+    oracle = _StableUntil(2**12)
+    assert _check_axiom_7(oracle, FAST, random.Random(0)) is None
+    assert oracle.copies == [2**k for k in range(13)]
+
+
+def test_axiom_7_is_inconclusive_when_stability_holds_to_the_bound():
+    oracle = _StableUntil(float("inf"))
+    with pytest.raises(harness.InconclusiveCase, match=r"2\^16"):
+        _check_axiom_7(oracle, FAST, random.Random(0))
+    assert oracle.copies[-1] == 2**harness.STABILITY_MAX_EXPONENT == 2**16
+
+
+def test_criterion_12_draw_count_is_pinned(monkeypatch):
+    """The draws of criterion 12 make a fixed number of member draws:
+    a draw never asks a content class for more trees than it holds."""
+    calls = []
+    draw = MacroModel.random_state_with_content
+    monkeypatch.setattr(MacroModel, "random_state_with_content",
+                        lambda *args: calls.append(1) or draw(*args))
+    config = SuiteConfig(cases_per_check=500, seed=42)
+    for mutant_cls in (MutantDropContentCriterion, MutantFlippedEntropyOrder,
+                       MutantWeightedRecords):
+        run_axiom_report(mutant_cls(), config)
+        run_theorem_report(mutant_cls(), config)
+    assert len(calls) == 48295
 
 
 def test_bounded_demon_search_is_inconclusive_in_quantum():

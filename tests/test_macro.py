@@ -1,5 +1,6 @@
 """Tests for the macrostate model."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from eidothermo import engine, exact, states
 from eidothermo.exact import Comparison, ExactEntropy, compare_entropy, decimal_of
 from eidothermo.macro import (
+    STANDARD_LAMBDAS,
     AtomDef,
     MacroModel,
     MacroRegistry,
     as_exact,
+    reachable_states,
     s_atom_id,
 )
 from eidothermo.harness import (
@@ -482,6 +485,49 @@ def test_random_uniform_eidostate_is_uniform(model):
     for _ in range(50):
         e = model.random_uniform_eidostate(rng)
         assert model.registry.is_uniform(e)
+
+
+def test_content_zero_draw_stops_at_its_two_trees(model, monkeypatch):
+    calls = []
+    draw = model.random_state_with_content
+    monkeypatch.setattr(model, "random_state_with_content",
+                        lambda *args: calls.append(1) or draw(*args))
+    rng = random.Random(3)
+    seen = 0
+    for _ in range(200):
+        calls.clear()
+        e = model.random_uniform_eidostate(rng)
+        if model.registry.q_value(e.members[0]) == 0:
+            seen += 1
+            assert e.as_set() <= {R, Pair(R, R)}
+            assert len(calls) <= 60
+    assert seen >= 20
+
+
+def _all_trees(leaves):
+    """Every binary tree over the leaf sequence, in order."""
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    for cut in range(1, len(leaves)):
+        for left in _all_trees(leaves[:cut]):
+            for right in _all_trees(leaves[cut:]):
+                yield Pair(left, right)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_reachable_states_matches_enumeration(model, q):
+    atoms = [model.registry.ensure_s_atom(lam) for lam in STANDARD_LAMBDAS]
+    trees = set()
+    for k in range(0 if q else 1, 3):
+        for chosen in itertools.product(atoms, repeat=q):
+            for slots in itertools.combinations(range(q + k), k):
+                picks = iter(chosen)
+                leaves = [R if i in slots else next(picks) for i in range(q + k)]
+                trees.update(_all_trees(leaves))
+    assert reachable_states(q) == len(trees)
+    rng = random.Random(q)
+    assert {model.random_state_with_content(rng, q) for _ in range(300)} <= trees
 
 
 def test_mechanical_family(model):
