@@ -178,10 +178,14 @@ def gibbs_gap(
 ) -> Real:
     """S(E) minus the decomposition value under an arbitrary distribution.
 
-    Nonnegative always; zero exactly at the entropic distribution, which
-    is decided exactly: every weight equals its member's probability,
-    which is then rational.  Any other gap is its enclosure.  The
-    weights are taken as exact rationals (ints, Fractions or floats).
+    Nonnegative (Gibbs' inequality) when the weights are nonnegative and
+    sum to exactly 1.  The checks below accept a sum within 10^-9 of 1
+    and weights down to -10^-12, and inside that slack the gap can be
+    certified negative: {1/3, 2/3 + 10^-10} on {s_0, s_1} gives about
+    -1.4e-11.  Zero exactly at the entropic distribution, which is
+    decided exactly: every weight equals its member's probability, which
+    is then rational.  Any other gap is its enclosure.  The weights are
+    taken as exact rationals (ints, Fractions or floats).
     """
     entropy = entropy_uniform(e, oracle)
     members = set(e.members)

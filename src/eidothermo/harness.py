@@ -18,6 +18,13 @@ k <= STABILITY_MAX_EXPONENT, while the consequent fails (the clause
 quantifies over unbounded n, so no finite search disproves it).
 Inconclusive cases are reported but are not counterexamples.
 
+Two checks can never catch a faulty model.  Axiom 7 can only pass or be
+inconclusive: a failing antecedent is a witness, and one that holds at
+every searched n is not a disproof.  Theorem 17 can fail only through
+the interval arithmetic, because S(E) = <S> + H holds for any state
+entropies; a counterexample there would mean that an enclosure excluded
+the exact residual 0, a fault of the arithmetic and not of the model.
+
 The module also provides four deliberately broken oracles.  They exist
 so the sensitivity tests can confirm the suites catch a model that drops
 content conservation, orders entropy the wrong way round, ignores the

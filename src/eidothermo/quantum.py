@@ -7,28 +7,28 @@ arrow holds exactly when the initial dimension does not exceed the final
 dimension.  There are no mechanical states, and records are the
 dimension-one states.
 
-Desk-scale matrix realizations make the criterion constructive: each
-member state receives an explicit projector (orthogonal agent label
-tensored with a seeded pseudo-random subspace projector), and a partial
-isometry between two realized eidostates exists exactly when the
-dimension criterion allows it.  Only the realization and isometry code
-imports numpy, so the arrow, and every command that needs no
-realization, runs without loading it.
+Desk-scale exact realizations make the criterion constructive: each
+member state receives an orthonormal basis (an orthogonal agent label
+tensored with the first columns of a seeded rational orthogonal matrix
+on the qubit register), and a partial isometry between two realized
+eidostates exists exactly when the dimension criterion allows it.
+Entries are exact numbers in Q(sqrt 2), so every projector and isometry
+identity holds with ``==``.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from math import gcd
+from typing import Dict, Iterable, Optional
 
 from .exact import ExactEntropy
 from .oracle import FactoredState, InformationState, ModelOracle, StateEquivalence
-from .states import Atom, Eidostate, StateExpr, fold
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import Atom, Eidostate, StateExpr, fold, singleton
 
 UNIT_ATOM_LABEL = "u"
 
@@ -123,69 +123,112 @@ class QuantumRegistry:
         return sum(self.dim(m) for m in e)
 
 
+class Sqrt2Matrix:
+    """An exact real matrix over Q(sqrt 2), stored by its nonzero entries.
+
+    ``entries`` maps (row, column) to an integer pair (a, b) standing for
+    (a + b*sqrt 2) / den.  The constructor cancels common factors and
+    drops zeros, so equal matrices have equal fields and ``==`` is exact.
+    """
+
+    __slots__ = ("shape", "entries", "den")
+
+    def __init__(self, shape: tuple, entries: dict, den: int = 1):
+        entries = {ij: ab for ij, ab in entries.items() if ab != (0, 0)}
+        g = gcd(den, *(x for ab in entries.values() for x in ab))
+        self.shape = shape
+        self.entries = {ij: (a // g, b // g) for ij, (a, b) in entries.items()}
+        self.den = den // g
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Sqrt2Matrix) and self.shape == other.shape
+                and self.den == other.den and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return f"Sqrt2Matrix({self.shape}, {self.entries}, {self.den})"
+
+    def __matmul__(self, other: "Sqrt2Matrix") -> "Sqrt2Matrix":
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        rows: Dict[int, list] = {}
+        for (k, j), ab in other.entries.items():
+            rows.setdefault(k, []).append((j, ab))
+        out: dict = {}
+        for (i, k), (a1, b1) in self.entries.items():
+            for j, (a2, b2) in rows.get(k, ()):
+                a, b = out.get((i, j), (0, 0))
+                out[i, j] = (a + a1 * a2 + 2 * b1 * b2, b + a1 * b2 + b1 * a2)
+        return Sqrt2Matrix((self.shape[0], other.shape[1]), out, self.den * other.den)
+
+    def __add__(self, other: "Sqrt2Matrix") -> "Sqrt2Matrix":
+        if self.shape != other.shape:
+            raise ValueError(f"cannot add {self.shape} and {other.shape}")
+        out = {ij: (a * other.den, b * other.den) for ij, (a, b) in self.entries.items()}
+        for ij, (a, b) in other.entries.items():
+            a0, b0 = out.get(ij, (0, 0))
+            out[ij] = (a0 + a * self.den, b0 + b * self.den)
+        return Sqrt2Matrix(self.shape, out, self.den * other.den)
+
+    @property
+    def T(self) -> "Sqrt2Matrix":
+        return Sqrt2Matrix(self.shape[::-1],
+                           {(j, i): ab for (i, j), ab in self.entries.items()}, self.den)
+
+    def trace(self) -> tuple:
+        """The trace p + q*sqrt 2 as the pair of Fractions (p, q)."""
+        diagonal = [ab for (i, j), ab in self.entries.items() if i == j]
+        return (Fraction(sum(a for a, _ in diagonal), self.den),
+                Fraction(sum(b for _, b in diagonal), self.den))
+
+    def columns(self, k: int) -> "Sqrt2Matrix":
+        """The first k columns."""
+        return Sqrt2Matrix((self.shape[0], k),
+                           {(i, j): ab for (i, j), ab in self.entries.items() if j < k}, self.den)
+
+    def shifted(self, row: int, col: int, shape: tuple) -> "Sqrt2Matrix":
+        """This matrix as the block at (row, col) of a zero matrix of the given shape."""
+        return Sqrt2Matrix(shape, {(i + row, j + col): ab
+                                   for (i, j), ab in self.entries.items()}, self.den)
+
+
 @dataclass
 class ExplicitRealization:
-    """Concrete projectors for every member of a realized eidostate."""
+    """Exact orthonormal bases for every member of a realized eidostate.
+
+    ``bases[m]`` has 2^total_qubits rows and dims[m] orthonormal columns
+    on the qubit register; member m carries the agent label of its
+    position in ``eidostate.members``.
+    """
 
     eidostate: Eidostate
     total_qubits: int
     agent_dim: int
     dims: Dict[StateExpr, int]
-    projectors: Dict[StateExpr, np.ndarray]
-    member_vectors: Dict[StateExpr, np.ndarray]
-    entangled_vector: Optional[np.ndarray] = None
-    _total: np.ndarray = field(default=None, repr=False)
+    bases: Dict[StateExpr, Sqrt2Matrix]
+    entangled_vector: Optional[Sqrt2Matrix] = None
 
     @property
     def space_dim(self) -> int:
         return self.agent_dim * 2**self.total_qubits
 
-    def projector(self, e: Eidostate) -> np.ndarray:
-        """The summed projector of a sub-eidostate of the realized one."""
-        import numpy as np
-
+    def basis(self, e: Eidostate) -> Sqrt2Matrix:
+        """Orthonormal columns spanning a sub-eidostate's subspace of the
+        whole space: each member's basis under its agent label, in order."""
         if not e.issubset(self.eidostate):
             raise ValueError("eidostate is not covered by this realization")
-        total = np.zeros((self.space_dim, self.space_dim), dtype=complex)
+        shape = (self.space_dim, sum(self.dims[m] for m in e))
+        qubit_dim = 2**self.total_qubits
+        parts, col = [], 0
         for m in e:
-            total += self.projectors[m]
-        return total
+            row = self.eidostate.members.index(m) * qubit_dim
+            parts.append(self.bases[m].shifted(row, col, shape))
+            col += self.dims[m]
+        return reduce(operator.add, parts)
 
-    @property
-    def total_projector(self) -> np.ndarray:
-        if self._total is None:
-            self._total = self.projector(self.eidostate)
-        return self._total
-
-    def mixture_residual(self) -> float:
-        """Entrywise gap between the normalized total projector and the
-        dimension-weighted mixture of member density operators."""
-        import numpy as np
-
-        d_total = sum(self.dims[m] for m in self.eidostate)
-        mix = np.zeros_like(self.total_projector)
-        for m in self.eidostate:
-            weight = self.dims[m] / d_total
-            mix += weight * self.projectors[m] / self.dims[m]
-        return float(np.max(np.abs(self.total_projector / d_total - mix)))
-
-    def self_check(self) -> Dict[str, float]:
-        """Worst-case deviations from the declared projector invariants."""
-        import numpy as np
-
-        idem = 0.0
-        ortho = 0.0
-        trace = 0.0
-        members = list(self.eidostate)
-        for i, m in enumerate(members):
-            p = self.projectors[m]
-            idem = max(idem, float(np.max(np.abs(p @ p - p))))
-            idem = max(idem, float(np.max(np.abs(p - p.conj().T))))
-            trace = max(trace, abs(float(np.trace(p).real) - self.dims[m]))
-            for other in members[i + 1 :]:
-                q = self.projectors[other]
-                ortho = max(ortho, float(np.max(np.abs(p @ q))))
-        return {"idempotence": idem, "orthogonality": ortho, "trace": trace}
+    def projector(self, e: Eidostate) -> Sqrt2Matrix:
+        """The summed projector of a sub-eidostate of the realized one."""
+        basis = self.basis(e)
+        return basis @ basis.T
 
 
 class QuantumModel(ModelOracle):
@@ -259,19 +302,16 @@ class QuantumModel(ModelOracle):
         e: Eidostate,
         qubit_budget: int = DEFAULT_QUBIT_BUDGET,
         seed: int = 0,
-        overlap_demo: bool = True,
     ) -> ExplicitRealization:
-        """Concrete orthogonal projectors for every member of e.
+        """Exact orthonormal bases, hence projectors, for every member of e.
 
-        Each member gets an orthogonal agent label tensored with a
-        pseudo-random subspace projector of its declared dimension on
-        the shared qubit register.  With ``overlap_demo`` the first two
-        member subspaces are steered to contain reference vectors with
-        overlap exactly 2^{-1/2}, and the entangled membership vector
-        over those two members is attached.
+        Each member gets an orthogonal agent label tensored with the span
+        of the first dim(m) columns of a seeded rational orthogonal matrix
+        on the shared qubit register.  The first two member subspaces
+        contain e0 and (e0 + e1)/sqrt 2, whose overlap is exactly 2^{-1/2},
+        and the entangled membership vector over those two members is
+        attached.
         """
-        import numpy as np
-
         members = e.members
         agent_dim = len(members)
         if agent_dim > MAX_AGENT_DIM:
@@ -289,116 +329,52 @@ class QuantumModel(ModelOracle):
             raise RealizationBudgetError(
                 f"total dimension {agent_dim * qubit_dim} exceeds {MAX_TOTAL_DIM}"
             )
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         dims = {m: self.registry.dim(m) for m in members}
-
-        anchors: Dict[StateExpr, Optional[np.ndarray]] = {m: None for m in members}
-        if overlap_demo and len(members) >= 2 and qubit_dim >= 2:
-            psi_a = np.zeros(qubit_dim, dtype=complex)
-            psi_a[0] = 1.0
-            psi_b = np.zeros(qubit_dim, dtype=complex)
-            psi_b[0] = psi_b[1] = 1.0 / np.sqrt(2.0)
-            anchors[members[0]] = psi_a
-            anchors[members[1]] = psi_b
-
-        projectors: Dict[StateExpr, np.ndarray] = {}
-        vectors: Dict[StateExpr, np.ndarray] = {}
+        anchored = agent_dim >= 2
+        bases = {}
         for idx, m in enumerate(members):
-            basis = _random_subspace(rng, qubit_dim, dims[m], anchors[m])
-            pi = basis @ basis.conj().T
-            agent = np.zeros((agent_dim, agent_dim), dtype=complex)
-            agent[idx, idx] = 1.0
-            projectors[m] = np.kron(agent, pi)
-            agent_vec = np.zeros(agent_dim, dtype=complex)
-            agent_vec[idx] = 1.0
-            vectors[m] = np.kron(agent_vec, basis[:, 0])
-
-        entangled = None
-        if len(members) >= 2:
-            entangled = (vectors[members[0]] + vectors[members[1]]) / np.sqrt(2.0)
-
-        return ExplicitRealization(
-            eidostate=e,
-            total_qubits=n_qubits,
-            agent_dim=agent_dim,
-            dims=dims,
-            projectors=projectors,
-            member_vectors=vectors,
-            entangled_vector=entangled,
-        )
+            basis = _random_basis(rng, qubit_dim, dims[m], fix_e0=anchored and idx < 2)
+            if anchored and idx == 1:
+                # A 45-degree turn in the (e0, e1) plane carries e0 to (e0 + e1)/sqrt 2.
+                turn = {(0, 0): (0, 1), (0, 1): (0, -1), (1, 0): (0, 1), (1, 1): (0, 1)}
+                turn.update({(i, i): (2, 0) for i in range(2, qubit_dim)})
+                basis = Sqrt2Matrix((qubit_dim, qubit_dim), turn, 2) @ basis
+            bases[m] = basis
+        real = ExplicitRealization(e, n_qubits, agent_dim, dims, bases)
+        if anchored:
+            first, second = (real.basis(singleton(m)).columns(1) for m in members[:2])
+            real.entangled_vector = (first + second) @ Sqrt2Matrix((1, 1), {(0, 0): (0, 1)}, 2)
+        return real
 
     def find_isometry(
         self, a: Eidostate, b: Eidostate, realization: ExplicitRealization
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Sqrt2Matrix]:
         """A partial isometry carrying the subspace of a into that of b.
 
         Returns None exactly when the dimension criterion forbids it.
-        The construction maps an orthonormal basis of a's subspace onto
-        part of an orthonormal basis of b's subspace.
+        The construction maps the orthonormal basis of a's subspace onto
+        the first dim(a) basis vectors of b's subspace.
         """
         d_a = self.registry.eidostate_dim(a)
-        d_b = self.registry.eidostate_dim(b)
-        if d_a > d_b:
+        if d_a > self.registry.eidostate_dim(b):
             return None
-        p_a = realization.projector(a)
-        p_b = realization.projector(b)
-        basis_a = _range_basis(p_a, d_a)
-        basis_b = _range_basis(p_b, d_b)
-        return basis_b[:, :d_a] @ basis_a.conj().T
-
-    def isometry_residual(
-        self, u: np.ndarray, a: Eidostate, b: Eidostate, realization: ExplicitRealization
-    ) -> float:
-        """Frobenius norm of the part of U P_a falling outside b's subspace."""
-        import numpy as np
-
-        p_a = realization.projector(a)
-        p_b = realization.projector(b)
-        eye = np.eye(p_b.shape[0], dtype=complex)
-        return float(np.linalg.norm((eye - p_b) @ u @ p_a))
+        return realization.basis(b).columns(d_a) @ realization.basis(a).T
 
 
-def _random_subspace(
-    rng: np.random.Generator,
-    space_dim: int,
-    subspace_dim: int,
-    anchor: Optional[np.ndarray],
-) -> np.ndarray:
-    """An orthonormal basis (columns) of a random subspace, containing the
-    anchor vector as its first column when one is given."""
-    import numpy as np
-
-    if subspace_dim > space_dim:
-        raise ValueError("subspace dimension exceeds the space")
-    columns = []
-    if anchor is not None:
-        columns.append(anchor / np.linalg.norm(anchor))
-    while len(columns) < subspace_dim:
-        v = rng.normal(size=space_dim) + 1j * rng.normal(size=space_dim)
-        for c in columns:
-            v = v - c * (c.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            columns.append(v / norm)
-    basis = np.column_stack(columns)
-    # One re-orthonormalization pass keeps round-off comfortably below
-    # the declared tolerances.
-    q, _ = np.linalg.qr(basis)
-    if anchor is not None:
-        phase = q[:, 0].conj() @ columns[0]
-        q[:, 0] = q[:, 0] * phase / abs(phase)
-    return q
-
-
-def _range_basis(projector: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of a projector's range via eigenvectors."""
-    import numpy as np
-
-    eigenvalues, eigenvectors = np.linalg.eigh(projector)
-    order = np.argsort(eigenvalues)[::-1]
-    top = eigenvalues[order[:rank]]
-    if np.any(np.abs(top - 1.0) > 1e-8):
-        raise ArithmeticError(
-            f"projector rank deficient: leading eigenvalues {top}"
-        )
-    return eigenvectors[:, order[:rank]]
+def _random_basis(rng: random.Random, n: int, d: int, fix_e0: bool) -> Sqrt2Matrix:
+    """The first d columns of a seeded rational orthogonal n x n matrix:
+    n reflections I - 2vv^T/(v^T v) in integer vectors v, applied one by
+    one to A/den, which starts as the first d columns of the identity.
+    The columns keep e0 first when every v has a zero first entry."""
+    rows = [[int(i == j) for j in range(d)] for i in range(n)]
+    den = 1
+    for _ in range(n):
+        v = [0] * fix_e0 + [rng.randint(-3, 3) for _ in range(fix_e0, n)]
+        v[-1] = v[-1] or 1
+        norm = sum(x * x for x in v)
+        w = [sum(x * row[j] for x, row in zip(v, rows)) for j in range(d)]
+        rows = [[norm * y - 2 * x * z for y, z in zip(row, w)] for x, row in zip(v, rows)]
+        den *= norm
+    return Sqrt2Matrix((n, d), {(i, j): (x, 0) for i, row in enumerate(rows)
+                                for j, x in enumerate(row)}, den)

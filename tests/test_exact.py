@@ -324,6 +324,26 @@ def test_atanh_rounds_wide_operands_outward(den, share, p, guard):
 
 
 @given(
+    num=st.integers(1, 2**16),
+    den_factor=st.integers(0, 2**16),
+    scale=st.integers(2**150, 2**300),
+    p=st.integers(64, 256),
+    guard=guards,
+)
+@example(num=1, den_factor=0, scale=2**300, p=64, guard=0)
+@settings(max_examples=150, deadline=None)
+def test_atanh_rounds_z_squared_down(num, den_factor, scale, p, guard):
+    # The same z with a den^2 narrower than p bits takes the exact z^2 path.
+    # Rounding z^2 down can only lower every floored power, so the wide
+    # operands never give a larger lower bound; rounding it up would.
+    den = num * den_factor // 3 + num * 3
+    with _guard_bits(guard):
+        narrow, _ = exact._atanh(num, den, p)
+        wide, _ = exact._atanh(num * scale, den * scale, p)
+    assert wide <= narrow
+
+
+@given(
     bits=kernel_bits,
     d=st.one_of(st.sampled_from((2, 3, 7, 240240, 2**16)), st.integers(2, 10**6)),
     guard=guards,

@@ -131,19 +131,10 @@ def test_axiom_7_is_inconclusive_when_stability_holds_to_the_bound():
     assert oracle.copies[-1] == 2**harness.STABILITY_MAX_EXPONENT == 2**16
 
 
-def test_criterion_12_draw_count_is_pinned(monkeypatch):
+def test_criterion_12_draw_count_is_pinned(criterion_12_runs):
     """The draws of criterion 12 make a fixed number of member draws:
     a draw never asks a content class for more trees than it holds."""
-    calls = []
-    draw = MacroModel.random_state_with_content
-    monkeypatch.setattr(MacroModel, "random_state_with_content",
-                        lambda *args: calls.append(1) or draw(*args))
-    config = SuiteConfig(cases_per_check=500, seed=42)
-    for mutant_cls in (MutantDropContentCriterion, MutantFlippedEntropyOrder,
-                       MutantWeightedRecords):
-        run_axiom_report(mutant_cls(), config)
-        run_theorem_report(mutant_cls(), config)
-    assert len(calls) == 48295
+    assert criterion_12_runs[1] == 48295
 
 
 def test_bounded_demon_search_is_inconclusive_in_quantum():

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used, and none imports mpmath.
+"""Every module-level import in the package is used, and none imports
+mpmath or numpy.
 
 No linter is part of the toolchain, so this stdlib ``ast`` check keeps
 dead imports from piling up.  A name counts as used when it appears as
@@ -69,7 +70,8 @@ def _imported_modules(tree: ast.Module):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_mpmath(path):
     # The package's arithmetic runs on Python integers; mpmath is only the
-    # reference of the tests.
+    # reference of the tests, and the package has no numpy path at all.
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = [line for name, line in _imported_modules(tree) if name == "mpmath"]
-    assert not lines, f"{path.name} imports mpmath at lines {lines}"
+    found = [(name, line) for name, line in _imported_modules(tree)
+             if name in ("mpmath", "numpy")]
+    assert not found, f"{path.name} imports {found}"

@@ -1,8 +1,8 @@
 """Tests for the quantum model and its matrix realizations."""
 
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from eidothermo.exact import ExactEntropy
@@ -12,6 +12,7 @@ from eidothermo.quantum import (
     QuantumModel,
     QuantumRegistry,
     RealizationBudgetError,
+    Sqrt2Matrix,
 )
 from eidothermo.states import Atom, Eidostate, Pair, combine, singleton
 
@@ -123,21 +124,59 @@ def test_arrow_combined_matches_expansion(model):
         assert got == want
 
 
+#: 1/sqrt 2 as a 1 x 1 matrix.
+HALF_SQRT2 = Sqrt2Matrix((1, 1), {(0, 0): (0, 1)}, 2)
+
+
+def test_sqrt2_matrix_arithmetic_is_exact():
+    assert HALF_SQRT2 @ HALF_SQRT2 == Sqrt2Matrix((1, 1), {(0, 0): (1, 0)}, 2)
+    # Common factors cancel and zeros drop, so equal values compare equal.
+    assert Sqrt2Matrix((1, 2), {(0, 0): (2, 4), (0, 1): (0, 0)}, 6) == Sqrt2Matrix(
+        (1, 2), {(0, 0): (1, 2)}, 3
+    )
+    m = Sqrt2Matrix((2, 2), {(0, 0): (1, 1), (0, 1): (3, 0), (1, 1): (0, -1)}, 2)
+    assert m.T.entries == {(0, 0): (1, 1), (1, 0): (3, 0), (1, 1): (0, -1)}
+    assert m.trace() == (Fraction(1, 2), 0)
+    assert m + m == Sqrt2Matrix((2, 2), m.entries, 1)
+    assert m.columns(1) == Sqrt2Matrix((2, 1), {(0, 0): (1, 1)}, 2)
+    with pytest.raises(ValueError):
+        m @ m.columns(1).T
+
+
+def _member_projectors(real):
+    return [real.projector(singleton(m)) for m in real.eidostate]
+
+
+def _assert_isometry(model, a, b, real):
+    """U^T U = P_a and U maps a's subspace into b's: (I - P_b) U P_a = 0."""
+    u = model.find_isometry(a, b, real)
+    assert u is not None
+    p_a = real.projector(a)
+    assert u.T @ u == p_a
+    assert real.projector(b) @ u @ p_a == u @ p_a
+
+
 def test_realization_invariants(model):
     e = Eidostate([Atom("q2"), Atom("q3"), Atom("u")])
     real = model.realize(e, seed=5)
-    checks = real.self_check()
-    assert checks["idempotence"] <= 1e-12
-    assert checks["orthogonality"] <= 1e-12
-    assert checks["trace"] <= 1e-9
     assert real.agent_dim == 3
-    assert float(np.trace(real.total_projector).real) == pytest.approx(6.0, abs=1e-9)
+    for m, p in zip(e, _member_projectors(real)):
+        assert p @ p == p
+        assert p.T == p
+        assert p.trace() == (real.dims[m], 0)
+    assert real.projector(e).trace() == (6, 0)
 
 
 def test_realization_mixture_identity(model):
+    # The normalized total projector is the dimension-weighted mixture of
+    # the member density operators because the members are orthogonal.
     e = Eidostate([Atom("q2"), Atom("q5")])
     real = model.realize(e, seed=6)
-    assert real.mixture_residual() <= 1e-10
+    p, q = _member_projectors(real)
+    assert (p @ q).entries == {}
+    total = real.projector(e)
+    assert total == p + q
+    assert total @ total == total
 
 
 def test_entangled_vector_membership(model):
@@ -145,33 +184,28 @@ def test_entangled_vector_membership(model):
     real = model.realize(e, seed=7)
     psi = real.entangled_vector
     assert psi is not None
-    total = real.total_projector
-    assert np.linalg.norm(total @ psi - psi) <= 1e-10
+    assert real.projector(e) @ psi == psi
     # The vector has no definite member: each member projector keeps
-    # only half the weight.
-    for m in e:
-        keep = psi.conj() @ (real.projectors[m] @ psi)
-        assert keep.real == pytest.approx(0.5, abs=1e-10)
-        assert np.linalg.norm(real.projectors[m] @ psi - psi) > 0.5
+    # exactly half the weight.
+    for p in _member_projectors(real):
+        assert (psi.T @ p @ psi).trace() == (Fraction(1, 2), 0)
+        assert p @ psi != psi
 
 
 def test_demo_overlap_is_half_power(model):
     e = Eidostate([Atom("q2"), Atom("q3")])
     real = model.realize(e, seed=8)
-    first, second = e.members
-    va = real.member_vectors[first]
-    vb = real.member_vectors[second]
-    # Agent labels are orthogonal, so compare the qubit parts through
-    # the anchored reference coordinates.
-    qubit_dim = 2**real.total_qubits
-    qa = va.reshape(real.agent_dim, qubit_dim)[0]
-    qb = vb.reshape(real.agent_dim, qubit_dim)[1]
-    assert abs(qa.conj() @ qb) == pytest.approx(2 ** -0.5, abs=1e-10)
+    # Agent labels are orthogonal, so compare the anchored first columns
+    # of the member bases on the qubit register.
+    first, second = (real.bases[m].columns(1) for m in e)
+    overlap = first.T @ second
+    assert overlap == HALF_SQRT2
+    assert (overlap @ overlap).trace() == (Fraction(1, 2), 0)
 
 
 def test_singleton_realization_rank_one(model):
     real = model.realize(singleton(Atom("u")), seed=9)
-    assert float(np.trace(real.total_projector).real) == pytest.approx(1.0, abs=1e-12)
+    assert real.projector(real.eidostate).trace() == (1, 0)
     assert real.entangled_vector is None
 
 
@@ -180,18 +214,14 @@ def test_find_isometry_small_cases(model):
     b = singleton(Atom("q3"))
     both = Eidostate([Atom("q2"), Atom("q3")])
     real = model.realize(both, seed=10)
-    u = model.find_isometry(a, b, real)
-    assert u is not None
-    assert model.isometry_residual(u, a, b, real) <= 1e-10
+    _assert_isometry(model, a, b, real)
     assert model.find_isometry(b, a, real) is None
 
 
 def test_find_isometry_identity_case(model):
     a = singleton(Atom("q4"))
     real = model.realize(a, seed=11)
-    u = model.find_isometry(a, a, real)
-    assert u is not None
-    assert model.isometry_residual(u, a, a, real) <= 1e-10
+    _assert_isometry(model, a, a, real)
 
 
 def test_isometry_preserves_norm_on_subspace(model):
@@ -199,10 +229,16 @@ def test_isometry_preserves_norm_on_subspace(model):
     b = singleton(Atom("q5"))
     both = Eidostate([Atom("q3"), Atom("q5")])
     real = model.realize(both, seed=12)
-    u = model.find_isometry(a, b, real)
-    p_a = real.projector(a)
-    product = u.conj().T @ u
-    assert np.max(np.abs(product - p_a)) <= 1e-10
+    _assert_isometry(model, a, b, real)
+
+
+def test_isometry_between_multi_member_eidostates(model):
+    e = Eidostate([Atom("q2"), Atom("q3"), Atom("q8"), Atom("u")])
+    real = model.realize(e, seed=14)
+    a = Eidostate([Atom("q2"), Atom("q3"), Atom("u")])
+    b = Eidostate([Atom("q8"), Atom("u")])
+    _assert_isometry(model, a, b, real)
+    assert model.find_isometry(b, a, real) is None
 
 
 def test_budget_errors(model):
